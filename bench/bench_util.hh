@@ -17,8 +17,6 @@
  *                     at exit (simulated results are byte-identical
  *                     with the profiler on or off; see
  *                     docs/performance.md "Host-time profile")
- *   --host-threads=N  host worker threads for the quantum loop
- *                     (results are bit-identical for every N)
  *   --no-fast-hit     disable the fast-hit filter (bit-identical
  *                     either way; exists for the CI identity gate)
  *   --check-shapes    check measured ratios against the golden-shape
@@ -52,15 +50,13 @@ namespace wwt::bench
 
 /** Sanity bounds for the machine-size flags. */
 constexpr std::size_t kMaxProcs = 4096;
-constexpr std::size_t kMaxHostThreads = 256;
 
 /** Command-line options shared by all benches. */
 struct Options {
     bool small = false;
     std::size_t procs = 32;
-    std::size_t hostThreads = 1; ///< --host-threads=N (1 = sequential)
-    bool fastHit = true;         ///< --no-fast-hit clears this
-    bool checkShapes = false;    ///< --check-shapes
+    bool fastHit = true;      ///< --no-fast-hit clears this
+    bool checkShapes = false; ///< --check-shapes
     std::string shapesFile = "bench/golden_shapes.json"; ///< --shapes=FILE
     std::string traceFile;    ///< --trace=FILE (empty = off)
     std::string metricsFile;  ///< --metrics=FILE (empty = off)
@@ -97,12 +93,6 @@ parseArgs(int argc, char** argv)
             flagValue(argc, argv, i, "--host-prof", o.hostProfFile) ||
             flagValue(argc, argv, i, "--shapes", o.shapesFile))
             continue;
-        if (flagValue(argc, argv, i, "--host-threads", v)) {
-            o.hostThreads = static_cast<std::size_t>(
-                core::requireCount("--host-threads", v, 1,
-                                   kMaxHostThreads));
-            continue;
-        }
         if (flagValue(argc, argv, i, "--procs", v)) {
             o.procs = static_cast<std::size_t>(
                 core::requireCount("--procs", v, 1, kMaxProcs));
@@ -166,7 +156,6 @@ paperConfig(const Options& o)
 {
     core::MachineConfig cfg = core::MachineConfig::cm5Like();
     cfg.nprocs = o.procs;
-    cfg.hostThreads = o.hostThreads;
     cfg.fastHit = o.fastHit;
     return cfg;
 }

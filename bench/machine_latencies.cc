@@ -42,7 +42,6 @@ main(int argc, char** argv)
     Options o = parseArgs(argc, argv);
     core::MachineConfig cfg; // Table 1-3 defaults
     cfg.nprocs = 2;
-    cfg.hostThreads = o.hostThreads;
     core::ArtifactWriter art = artifacts(o);
 
     banner("Message-passing machine (Table 2)");

@@ -119,54 +119,6 @@ BM_EngineQuantumTraced(benchmark::State& state)
 BENCHMARK(BM_EngineQuantumTraced);
 
 static void
-BM_EngineQuantumThreads(benchmark::State& state)
-{
-    // The parallel host: 8 processors charging cycles, partitioned
-    // across state.range(0) host worker threads. Simulated results
-    // are bit-identical across thread counts; this measures the
-    // host-side cost/benefit of the quantum rendezvous.
-    for (auto _ : state) {
-        sim::Engine e(8);
-        e.setHostThreads(static_cast<std::size_t>(state.range(0)));
-        for (NodeId i = 0; i < 8; ++i) {
-            e.setBody(i, [&e, i] {
-                for (int k = 0; k < 1000; ++k)
-                    e.proc(i).charge(30);
-            });
-        }
-        e.run();
-        benchmark::DoNotOptimize(e.elapsed());
-    }
-}
-BENCHMARK(BM_EngineQuantumThreads)->Arg(1)->Arg(2)->Arg(4);
-
-static void
-BM_Em3dSmHostThreads(benchmark::State& state)
-{
-    // Whole-application host throughput at 1/2/4 host threads; the
-    // nightly benchmark workflow reads these to print the
-    // sequential-vs-parallel speedup in its job summary.
-    for (auto _ : state) {
-        state.PauseTiming();
-        core::MachineConfig cfg;
-        cfg.nprocs = 8;
-        cfg.hostThreads = static_cast<std::size_t>(state.range(0));
-        sm::SmMachine m(cfg);
-        apps::Em3dParams p;
-        p.nodesPerProc = 32;
-        p.iters = 3;
-        state.ResumeTiming();
-        apps::runEm3dSm(m, p);
-        benchmark::DoNotOptimize(m.engine().elapsed());
-    }
-}
-BENCHMARK(BM_Em3dSmHostThreads)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Unit(benchmark::kMillisecond);
-
-static void
 BM_WholeQuantumEm3dSm(benchmark::State& state)
 {
     // Whole-quantum throughput of the fixed EM3D-SM workload the

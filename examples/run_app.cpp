@@ -7,12 +7,9 @@
  *   run_app --app mse|gauss|em3d|lcp|alcp --machine mp|sm
  *           [--procs N] [--size N] [--iters N] [--local-alloc]
  *           [--cache-kb N] [--net-gap N] [--tree flat|binary|lop]
- *           [--host-threads N] [--no-fast-hit]
+ *           [--no-fast-hit]
  *           [--trace FILE] [--metrics FILE] [--host-prof FILE]
  *
- * --host-threads picks the number of host worker threads driving the
- * quantum loop; every value produces bit-identical results (the CI
- * determinism gate diffs the --metrics output at 1 vs 4 threads).
  * --no-fast-hit disables the fast-hit filter in front of the cache/TLB
  * model; results are bit-identical either way (CI enforces it — see
  * docs/performance.md), the flag exists for that gate and debugging.
@@ -56,7 +53,6 @@ struct Cli {
     std::size_t iters = 0; // 0 = app default
     bool localAlloc = false;
     std::size_t cacheKb = 256;
-    std::size_t hostThreads = 1;
     bool fastHit = true;
     Cycle netGap = 0;
     std::string tree = "lop";
@@ -110,16 +106,6 @@ parse(int argc, char** argv, Cli& c)
                 return false;
             c.cacheKb = static_cast<std::size_t>(
                 core::requireCount("--cache-kb", v, 1, 1u << 20));
-        } else if (!std::strcmp(argv[i], "--host-threads")) {
-            const char* v = next("--host-threads");
-            if (!v)
-                return false;
-            c.hostThreads = static_cast<std::size_t>(
-                core::requireCount("--host-threads", v, 1, 256));
-        } else if (!std::strncmp(argv[i], "--host-threads=", 15)) {
-            c.hostThreads = static_cast<std::size_t>(
-                core::requireCount("--host-threads", argv[i] + 15, 1,
-                                   256));
         } else if (!std::strcmp(argv[i], "--net-gap")) {
             const char* v = next("--net-gap");
             if (!v)
@@ -182,7 +168,6 @@ main(int argc, char** argv)
     spec.cfg.nprocs = c.procs;
     spec.cfg.cache.bytes = c.cacheKb * 1024;
     spec.cfg.netGap = c.netGap;
-    spec.cfg.hostThreads = c.hostThreads ? c.hostThreads : 1;
     spec.cfg.fastHit = c.fastHit;
     if (c.localAlloc)
         spec.cfg.allocPolicy = mem::AllocPolicy::Local;

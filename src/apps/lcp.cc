@@ -94,8 +94,8 @@ struct RowData {
 RowData
 makeRow(std::size_t i, const LcpParams& p)
 {
-    static thread_local std::vector<std::size_t> offs;
-    static thread_local std::size_t offs_n = 0, offs_h = 0;
+    static std::vector<std::size_t> offs;
+    static std::size_t offs_n = 0, offs_h = 0;
     if (offs_n != p.n || offs_h != p.halfBand) {
         offs = makeOffsets(p.n, p.halfBand);
         offs_n = p.n;

@@ -84,10 +84,6 @@ struct MachineConfig {
     // ---- Simulation ----
     Cycle quantum = 100;           ///< WWT causality window
     std::size_t fiberStack = 1u << 20;
-    /** Host worker threads driving the quantum loop (1 = the
-     *  sequential engine). Results are bit-identical for any value;
-     *  see docs/parallel_host.md. */
-    std::size_t hostThreads = 1;
     /** Per-processor fast-hit filter in front of the cache/TLB model.
      *  A pure host-side speedup: results are bit-identical either way
      *  (CI enforces this; see docs/performance.md). Off exists only

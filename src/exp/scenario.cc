@@ -74,9 +74,8 @@ struct Draft {
 
 /** Sweepable keys, in deterministic expansion order. */
 const char* const kSweepable[] = {
-    "app",         "machine", "procs",        "cache_kb", "net_gap",
-    "local_alloc", "tree",    "host_threads", "fast_hit", "size",
-    "iters",
+    "app",         "machine", "procs",    "cache_kb", "net_gap",
+    "local_alloc", "tree",    "fast_hit", "size",     "iters",
 };
 
 bool
@@ -237,9 +236,6 @@ buildScenario(Scenario& s, const std::vector<Binding>& bindings,
                 s.cacheKb = u = requireUint(v, "cache_kb", 1, 1u << 20);
             else if (b.key == "net_gap")
                 s.netGap = u = requireUint(v, "net_gap", 0, 1u << 20);
-            else if (b.key == "host_threads")
-                s.hostThreads = u =
-                    requireUint(v, "host_threads", 1, 256);
             else if (b.key == "size")
                 s.size = u = requireUint(v, "size", 0, 1u << 30);
             else if (b.key == "iters")
@@ -352,7 +348,6 @@ Scenario::config() const
     cfg.nprocs = procs;
     cfg.cache.bytes = cacheKb * 1024;
     cfg.netGap = netGap;
-    cfg.hostThreads = hostThreads;
     cfg.fastHit = fastHit;
     if (localAlloc)
         cfg.allocPolicy = mem::AllocPolicy::Local;
@@ -384,7 +379,9 @@ Scenario::configKeyValues() const
         {"net_gap", std::to_string(netGap)},
         {"local_alloc", localAlloc ? "1" : "0"},
         {"tree", tree},
-        {"host_threads", std::to_string(hostThreads)},
+        // Frozen: stored results, cache entries and reference files
+        // are keyed on a hash whose text includes this pair.
+        {"host_threads", "1"},
         {"fast_hit", fastHit ? "1" : "0"},
         {"size", std::to_string(size)},
         {"iters", std::to_string(iters)},

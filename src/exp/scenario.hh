@@ -57,7 +57,6 @@ struct Scenario {
     std::uint64_t netGap = 0;
     bool localAlloc = false;
     std::string tree = "lop"; ///< MP collective tree
-    std::size_t hostThreads = 1;
     bool fastHit = true; ///< host-side fast-hit filter (bit-identical)
 
     // App parameters (0 = app default).

@@ -89,27 +89,13 @@ SharedAllocator::gallocLocal(std::size_t bytes, NodeId node,
 NodeId
 SharedAllocator::homeOf(Addr a) const
 {
-    // A page's home never changes once assigned, so a memo of past
-    // answers can never go stale — no invalidation needed. The memo
-    // is thread-local because fibers on parallel host workers call
-    // this concurrently, and keyed by the process-unique allocator id
-    // (like the backing store's chunk cache) so an entry can never
-    // alias a different allocator reusing this heap address.
-    struct Memo {
-        std::uint64_t alloc = 0; // 0: never an allocId_
-        Addr page = ~Addr{0};
-        NodeId home = 0;
-    };
-    constexpr std::size_t kWays = 256;
-    thread_local Memo memo[kWays];
     Addr page = a >> 12;
-    Memo& m = memo[page & (kWays - 1)];
-    if (m.alloc == allocId_ && m.page == page)
+    Memo& m = memo_[page & (kMemoWays - 1)];
+    if (m.page == page)
         return m.home;
     const NodeId* h = home_.find(page);
     if (h == nullptr)
         throw std::logic_error("homeOf() on unallocated shared address");
-    m.alloc = allocId_;
     m.page = page;
     m.home = *h;
     return *h;

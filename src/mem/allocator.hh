@@ -10,7 +10,7 @@
  * the local policy used for the Table 17 ablation.
  */
 
-#include <atomic>
+#include <cstddef>
 #include <cstdint>
 
 #include "sim/flat_map.hh"
@@ -89,12 +89,6 @@ class SharedAllocator
                     bool force_local);
     void assignHome(Addr page, NodeId node, bool force_local);
 
-    static std::uint64_t nextAllocId();
-
-    /** Process-unique id keying homeOf()'s thread-local memo, so a
-     *  memo entry can never alias a different (or later) allocator
-     *  living at the same heap address. */
-    std::uint64_t allocId_ = nextAllocId();
     Addr base_;
     Addr limit_;
     Addr next_;
@@ -102,13 +96,15 @@ class SharedAllocator
     AllocPolicy policy_;
     std::size_t rrNext_ = 0;
     sim::FlatMap<NodeId> home_; // page number -> home
-};
 
-inline std::uint64_t
-SharedAllocator::nextAllocId()
-{
-    static std::atomic<std::uint64_t> next{0};
-    return ++next;
-}
+    /** One remembered homeOf() answer; a page's home never changes
+     *  once assigned, so the memo never goes stale. */
+    struct Memo {
+        Addr page = ~Addr{0};
+        NodeId home = 0;
+    };
+    static constexpr std::size_t kMemoWays = 256;
+    mutable Memo memo_[kMemoWays]{};
+};
 
 } // namespace wwt::mem

@@ -8,12 +8,6 @@ namespace wwt::mem
 char*
 BackingStore::chunkPtr(Addr chunk)
 {
-    {
-        std::shared_lock lock(mutex_);
-        if (const auto* slot = chunks_.find(chunk))
-            return slot->get();
-    }
-    std::unique_lock lock(mutex_);
     auto& slot = chunks_[chunk];
     if (!slot) {
         slot = std::make_unique<char[]>(kChunkBytes);

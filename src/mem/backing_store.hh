@@ -10,22 +10,16 @@
  * initialized, so sparse address spaces (per-node private regions plus
  * a global shared region) cost only what they touch.
  *
- * The store is shared by all target processors, so under the parallel
- * host (docs/parallel_host.md) concurrent fibers translate addresses
- * concurrently. Translation uses a thread-local one-entry chunk cache
- * (chunk base pointers are stable for the life of the store) with a
- * shared-mutex-guarded map on the slow path. The *bytes* themselves
- * need no locks: the coherence protocol guarantees no two processors
- * write the same block in one quantum, and cross-quantum accesses are
- * ordered by the engine's rendezvous barriers.
+ * The store is shared by all target processors. Translation goes
+ * through a small per-store cache of chunk base pointers (stable for
+ * the life of the store) in front of the chunk map.
  */
 
-#include <atomic>
+#include <array>
 #include <cassert>
+#include <cstddef>
 #include <cstring>
 #include <memory>
-#include <mutex>
-#include <shared_mutex>
 #include <type_traits>
 #include <utility>
 
@@ -41,12 +35,10 @@ class BackingStore
   public:
     BackingStore() = default;
 
-    // The guard mutex is not movable; moves (machine construction,
-    // never concurrent with simulation) transfer the chunk map and
-    // the store id, and re-key the moved-from store so stale
-    // thread-local cache entries can never alias it.
+    // The chunk cache points into chunks_: a move hands both to the
+    // new store and empties the old one's cache with its chunk map.
     BackingStore(BackingStore&& o) noexcept
-        : storeId_(std::exchange(o.storeId_, nextStoreId())),
+        : cached_(std::exchange(o.cached_, {})),
           chunks_(std::move(o.chunks_))
     {
     }
@@ -54,7 +46,7 @@ class BackingStore
     BackingStore&
     operator=(BackingStore&& o) noexcept
     {
-        storeId_ = std::exchange(o.storeId_, nextStoreId());
+        cached_ = std::exchange(o.cached_, {});
         chunks_ = std::move(o.chunks_);
         return *this;
     }
@@ -96,45 +88,31 @@ class BackingStore
 
   private:
     char* ptr(Addr a);
-    /** Find or lazily create @p chunk's storage (locked slow path). */
+    /** Find or lazily create @p chunk's storage (slow path). */
     char* chunkPtr(Addr chunk);
-    static std::uint64_t nextStoreId();
 
-    /** Process-unique id keying the thread-local chunk cache, so a
-     *  cache entry can never alias a different (or later) store. */
-    std::uint64_t storeId_ = nextStoreId();
-    mutable std::shared_mutex mutex_;
+    /**
+     * Small direct-mapped lookup cache: target code interleaves a few
+     * regions (its own arrays, neighbors' arrays, the private heap),
+     * so a single memoized chunk thrashes; a handful indexed by chunk
+     * number covers the working set.
+     */
+    struct Cached {
+        Addr chunk = 0;
+        char* base = nullptr;
+    };
+    static constexpr std::size_t kWays = 16;
+
+    std::array<Cached, kWays> cached_{};
     sim::FlatMap<std::unique_ptr<char[]>> chunks_; // chunk number -> data
 };
-
-inline std::uint64_t
-BackingStore::nextStoreId()
-{
-    static std::atomic<std::uint64_t> next{0};
-    return ++next;
-}
 
 inline char*
 BackingStore::ptr(Addr a)
 {
-    // Small direct-mapped lookup cache: target code interleaves a few
-    // regions (its own arrays, neighbors' arrays, the private heap),
-    // so a single memoized chunk thrashes; a handful indexed by chunk
-    // number covers the working set. Thread-local so concurrent fibers
-    // never share it; chunk base pointers are stable, so a hit needs
-    // no lock.
-    struct Cached {
-        std::uint64_t store = 0;
-        Addr chunk = 0;
-        char* base = nullptr;
-    };
-    constexpr std::size_t kWays = 16;
-    thread_local Cached cached[kWays];
-
     Addr chunk = a >> kChunkBits;
-    Cached& c = cached[chunk & (kWays - 1)];
-    if (c.store != storeId_ || c.chunk != chunk || c.base == nullptr) {
-        c.store = storeId_;
+    Cached& c = cached_[chunk & (kWays - 1)];
+    if (c.chunk != chunk || c.base == nullptr) {
         c.chunk = chunk;
         c.base = chunkPtr(chunk);
     }

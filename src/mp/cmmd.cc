@@ -31,7 +31,7 @@ Cmmd::send(NodeId dest, std::uint32_t tag, Addr src, std::size_t nbytes)
     p_.stats().counts().sendsPosted++;
     std::uint64_t k = key(dest, tag);
     std::uint64_t need = ++sent_[k];
-    // Rendezvous: wait for the matching receive's clear-to-send.
+    // Handshake: wait for the matching receive's clear-to-send.
     am_.pollUntil([this, k, need] { return clears_[k] >= need; });
     chans_.write(dest, chanFor(p_.id(), tag), src, nbytes);
 }

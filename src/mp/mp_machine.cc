@@ -14,7 +14,6 @@ MpMachine::MpMachine(const core::MachineConfig& cfg, TreeKind collectives)
       net_(engine_, cfg.netLatency, cfg.netLatency, cfg.netGap),
       barrier_(engine_, cfg.nprocs, cfg.barrierLatency)
 {
-    engine_.setHostThreads(cfg_.hostThreads);
     nodes_.reserve(cfg_.nprocs);
     for (NodeId i = 0; i < cfg_.nprocs; ++i) {
         nodes_.push_back(std::make_unique<Node>(

@@ -39,7 +39,7 @@ NetIface::send(NodeId dest, std::uint32_t tag,
         pkt.traceId = tr->newFlowId(p_.id());
         tr->flowBegin(p_.id(), trace::FlowKind::Packet, pkt.traceId,
                       p_.now());
-        tr->latency(p_.id(), trace::LatencyKind::MsgDelivery,
+        tr->latency(trace::LatencyKind::MsgDelivery,
                     pkt.arrival - p_.now());
     }
 

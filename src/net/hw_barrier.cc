@@ -19,13 +19,9 @@ void
 HwBarrier::wait(sim::Processor& p)
 {
     p.stats().counts().barriers++;
-    // The arrival bookkeeping touches machine-wide state, so under
-    // the parallel host it is deferred to the quantum rendezvous;
-    // arrivals merge in (processor id, program order), the order a
-    // sequential run registers them in. blockFor() happens now either
-    // way — the processor is released by the scheduled event.
-    Cycle arrival = p.now();
-    engine_.defer([this, &p, arrival] { arrive(p, arrival); });
+    // Register first, then block: the processor is released by the
+    // event the last arrival schedules.
+    arrive(p, p.now());
     p.blockFor(sim::CostKind::Barrier);
 }
 

@@ -43,7 +43,7 @@ class HwBarrier
     std::uint64_t episodes() const { return episodes_; }
 
   private:
-    /** Register one arrival; runs deferred under the parallel host. */
+    /** Register one arrival; the last one schedules the release. */
     void arrive(sim::Processor& p, Cycle arrival);
 
     sim::Engine& engine_;

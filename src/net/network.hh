@@ -26,13 +26,6 @@
 namespace wwt::net
 {
 
-/**
- * Sentinel returned by Network::deliver when the arrival time is not
- * yet known because the contended computation was deferred to the
- * quantum rendezvous. Never a valid timestamp.
- */
-inline constexpr Cycle kArrivalDeferred = ~Cycle{0};
-
 /** Constant-latency interconnect with optional link occupancy. */
 class Network
 {
@@ -64,23 +57,10 @@ class Network
     /**
      * Deliver @p fn at the destination after the network latency,
      * plus any link-occupancy delay when contention modeling is on.
+     * The contended path updates the per-link occupancy state in call
+     * order, from fiber and event context alike.
      *
-     * The uncontended path only reads constants, so a fiber-side call
-     * under the parallel host simply defers the calendar insertion
-     * (via Engine::schedule). The contended path mutates the per-link
-     * occupancy state, which is machine-wide: a fiber-side call
-     * defers the whole computation to the quantum rendezvous, where
-     * link times update in the sequential (processor id, program
-     * order) interleaving.
-     *
-     * @return the arrival timestamp, or kArrivalDeferred when the
-     *         contended computation was pushed to the quantum
-     *         rendezvous and the real arrival time is not yet known.
-     *         Invariant: callers that consume the return value must
-     *         either run on a non-deferring engine (gap == 0 follows
-     *         the immediate path everywhere) or check for the
-     *         sentinel — the pre-sentinel contract silently returned
-     *         a nominal, possibly-wrong timestamp here.
+     * @return the arrival timestamp.
      */
     Cycle
     deliver(Cycle now, NodeId from, NodeId to, sim::EventFn fn)
@@ -89,13 +69,6 @@ class Network
             Cycle at = now + latency(from, to);
             engine_.schedule(at, std::move(fn), prof::Phase::Net);
             return at;
-        }
-        if (engine_.deferring()) {
-            engine_.defer([this, now, from, to,
-                           fn = std::move(fn)]() mutable {
-                deliver(now, from, to, std::move(fn));
-            });
-            return kArrivalDeferred;
         }
         Cycle depart = std::max(now, lastInject_[from] + gap_);
         lastInject_[from] = depart;

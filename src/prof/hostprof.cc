@@ -9,8 +9,6 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
-#include <mutex>
-#include <vector>
 
 #if defined(__x86_64__)
 #include <x86intrin.h>
@@ -21,22 +19,20 @@ namespace wwt::prof
 
 namespace detail
 {
-std::atomic<bool> g_enabled{false};
+bool g_enabled = false;
 std::uint32_t g_samplePeriod = kDefaultSamplePeriod;
 std::uint64_t (*g_tickOverride)() = nullptr;
-thread_local Shard* tls_shard = nullptr;
+Shard g_shard;
 } // namespace detail
 
 namespace
 {
 
+using detail::g_shard;
 using detail::Shard;
 using detail::tickNow;
-using detail::tls_shard;
 
 struct State {
-    std::mutex mu;
-    std::vector<Shard*> shards; // live and retired, never freed
     std::uint64_t t0Tick = 0; // calibration anchor at enable()
     std::chrono::steady_clock::time_point t0Steady{};
     std::string atexitPath;
@@ -46,7 +42,7 @@ struct State {
 State&
 state()
 {
-    static State* s = new State; // leaked: see Shard
+    static State* s = new State; // leaked: read by the atexit writer
     return *s;
 }
 
@@ -75,12 +71,7 @@ sampledParent(Phase p)
 void
 atexitWriter()
 {
-    State& s = state();
-    std::string path;
-    {
-        std::lock_guard<std::mutex> lk(s.mu);
-        path = s.atexitPath;
-    }
+    const std::string& path = state().atexitPath;
     if (!path.empty())
         writeManifestFile(path);
 }
@@ -93,9 +84,9 @@ namespace detail
 Phase
 sampleBegin(Phase p)
 {
-    // Caller (SampledPhase) already checked enabled() and tls_shard,
-    // and decremented the duty counter to zero.
-    Shard& sh = *tls_shard;
+    // Caller (SampledPhase) already checked enabled() and decremented
+    // the duty counter to zero.
+    Shard& sh = g_shard;
     std::size_t i = static_cast<std::size_t>(p);
     sh.duty[i] = g_samplePeriod;
     sh.sampled[i]++;
@@ -119,7 +110,6 @@ phaseName(Phase p)
       case Phase::Net: return "net";
       case Phase::Trace: return "trace";
       case Phase::Audit: return "audit";
-      case Phase::Rendezvous: return "rendezvous";
     }
     return "unknown";
 }
@@ -127,29 +117,28 @@ phaseName(Phase p)
 void
 enable()
 {
+    if (detail::g_enabled)
+        return;
     State& s = state();
-    {
-        std::lock_guard<std::mutex> lk(s.mu);
-        if (!detail::g_enabled.load(std::memory_order_relaxed)) {
-            s.t0Tick = tickNow();
-            s.t0Steady = std::chrono::steady_clock::now();
-            detail::g_enabled.store(true, std::memory_order_release);
-        }
+    s.t0Tick = tickNow();
+    s.t0Steady = std::chrono::steady_clock::now();
+    detail::g_enabled = true;
+    if (!g_shard.live) {
+        for (std::size_t i = 0; i < kNumPhases; ++i)
+            g_shard.duty[i] = detail::g_samplePeriod;
+        g_shard.start = g_shard.last = tickNow();
+        g_shard.live = true;
     }
-    registerThread();
 }
 
 void
 enableWithManifestAtExit(const std::string& path)
 {
     State& s = state();
-    {
-        std::lock_guard<std::mutex> lk(s.mu);
-        s.atexitPath = path;
-        if (!s.atexitRegistered) {
-            s.atexitRegistered = true;
-            std::atexit(atexitWriter);
-        }
+    s.atexitPath = path;
+    if (!s.atexitRegistered) {
+        s.atexitRegistered = true;
+        std::atexit(atexitWriter);
     }
     enable();
 }
@@ -157,7 +146,7 @@ enableWithManifestAtExit(const std::string& path)
 void
 disable()
 {
-    detail::g_enabled.store(false, std::memory_order_release);
+    detail::g_enabled = false;
 }
 
 void
@@ -166,62 +155,27 @@ setSamplePeriod(std::uint32_t period)
     detail::g_samplePeriod = period > 0 ? period : 1;
 }
 
-void
-registerThread()
-{
-    if (!enabled() || tls_shard)
-        return;
-    State& s = state();
-    Shard* sh = new Shard; // owned (and leaked) by the registry
-    for (std::size_t i = 0; i < kNumPhases; ++i)
-        sh->duty[i] = detail::g_samplePeriod;
-    sh->start = sh->last = tickNow();
-    {
-        std::lock_guard<std::mutex> lk(s.mu);
-        s.shards.push_back(sh);
-    }
-    tls_shard = sh;
-}
-
-void
-finalizeThread()
-{
-    if (!tls_shard)
-        return;
-    State& s = state();
-    flushShard(*tls_shard, tickNow());
-    // Taking the registry mutex after the final flush publishes this
-    // shard's accumulators to whichever thread snapshots next.
-    std::lock_guard<std::mutex> lk(s.mu);
-    tls_shard = nullptr;
-}
-
 Report
 snapshot()
 {
     State& s = state();
-    if (tls_shard && enabled())
-        flushShard(*tls_shard, tickNow());
+    if (enabled())
+        flushShard(g_shard, tickNow());
 
     Report r;
-    std::uint64_t now_tick;
-    double wall;
+    std::uint64_t now_tick = tickNow();
+    double wall = std::chrono::duration<double>(
+                      std::chrono::steady_clock::now() - s.t0Steady)
+                      .count();
+    r.samplePeriod = detail::g_samplePeriod;
     std::uint64_t sampled[kNumPhases] = {};
-    {
-        std::lock_guard<std::mutex> lk(s.mu);
-        now_tick = tickNow();
-        wall = std::chrono::duration<double>(
-                   std::chrono::steady_clock::now() - s.t0Steady)
-                   .count();
-        r.threads = s.shards.size();
-        r.samplePeriod = detail::g_samplePeriod;
-        for (const Shard* sh : s.shards) {
-            for (std::size_t i = 0; i < kNumPhases; ++i) {
-                r.phase[i].ticks += sh->acc[i];
-                sampled[i] += sh->sampled[i];
-            }
-            r.totalTicks += sh->last - sh->start;
+    if (g_shard.live) {
+        r.threads = 1;
+        for (std::size_t i = 0; i < kNumPhases; ++i) {
+            r.phase[i].ticks = g_shard.acc[i];
+            sampled[i] = g_shard.sampled[i];
         }
+        r.totalTicks = g_shard.last - g_shard.start;
     }
 
     // Scale the duty-sampled hot phases: measured ticks cover one in
@@ -342,12 +296,9 @@ writeManifestFile(const std::string& path)
 void
 resetForTest()
 {
-    State& s = state();
     disable();
-    std::lock_guard<std::mutex> lk(s.mu);
-    s.shards.clear(); // leaks retired shards; test-only
-    tls_shard = nullptr;
-    s.atexitPath.clear();
+    g_shard = Shard{};
+    state().atexitPath.clear();
     detail::g_samplePeriod = kDefaultSamplePeriod;
 }
 
@@ -355,8 +306,6 @@ void
 setTickSourceForTest(std::uint64_t (*fn)())
 {
     resetForTest();
-    State& s = state();
-    std::lock_guard<std::mutex> lk(s.mu);
     detail::g_tickOverride = fn;
 }
 

@@ -7,21 +7,22 @@
  *
  * The paper's method is a breakdown of execution time into named,
  * non-overlapping categories that sum to the total. This module
- * applies the same discipline to the simulator's own host threads:
+ * applies the same discipline to the simulator's own host thread:
  *
- *  - Every registered host thread owns a thread-local shard with one
- *    tick accumulator per phase, a current phase, and the tick of the
- *    last phase transition. A transition reads the tick source once,
- *    charges `now - last` to the outgoing phase, and switches. Phases
- *    are therefore *structurally* non-overlapping, and the per-thread
- *    accumulators sum exactly to the thread's measured window —
- *    anything not inside a named scope lands in Phase::Untracked,
- *    which is what the coverage self-audit reports on.
+ *  - One process-wide shard holds a tick accumulator per phase, a
+ *    current phase, and the tick of the last phase transition. A
+ *    transition reads the tick source once, charges `now - last` to
+ *    the outgoing phase, and switches. Phases are therefore
+ *    *structurally* non-overlapping, and the accumulators sum exactly
+ *    to the measured window — anything not inside a named scope lands
+ *    in Phase::Untracked, which is what the coverage self-audit
+ *    reports on. The simulator runs on one host thread, so the shard
+ *    needs no synchronization; only that thread may open scopes.
  *
  *  - Two scope granularities. The coarse phases (event drain, fiber
- *    execution, rendezvous, tracing, audits) transition at loop
- *    boundaries — a few per simulated quantum — and are measured
- *    exactly. The hot phases (memory-model miss handling, protocol
+ *    execution, tracing, audits) transition at loop boundaries — a
+ *    few per simulated quantum — and are measured exactly.
+ *    The hot phases (memory-model miss handling, protocol
  *    handlers, network delivery) fire millions of times per second of
  *    host time; reading the TSC on every one would *be* the overhead
  *    budget. Those use SampledPhase: a per-shard duty counter lets
@@ -33,29 +34,22 @@
  *    exact; only the *split* between a sampled phase and its parent
  *    is an estimate, and the manifest says so per phase.
  *
- *  - Shards are merged at report time under a registry mutex with
- *    plain integer sums, so the merged totals are independent of
- *    thread scheduling (the tick *values* are host-dependent, the
- *    merge order is not) — the same policy the tracer uses for its
- *    histogram merge.
- *
  *  - The tick source is the TSC on x86-64 (one `rdtsc` per phase
  *    transition; no serialization, which is fine at >100ns phase
  *    granularity) with a steady_clock fallback elsewhere, calibrated
  *    against steady_clock over the enable..report window.
  *
  * The profiler is disabled by default and compiled so the disabled
- * path is one relaxed atomic load per would-be scope. The hard
- * contract (CI-enforced): enabling it never changes simulated
- * results — instrumentation must not touch engine state, only read
- * the clock.
+ * path is one load of a flag per would-be scope. The hard contract
+ * (CI-enforced): enabling it never changes simulated results —
+ * instrumentation must not touch engine state, only read the clock.
  *
  * All runtime output (coverage line, "written to" notes) goes to
  * stderr: stdout byte-identity with the profiler on vs off is part of
  * the contract.
  */
 
-#include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <iosfwd>
 #include <string>
@@ -70,24 +64,23 @@ namespace wwt::prof
 {
 
 /**
- * Host-time phases. Exactly one is active per registered thread at
- * any instant. Untracked absorbs everything outside a named scope;
- * docs/performance.md documents what each named phase covers and —
- * just as important — what it does not.
+ * Host-time phases. Exactly one is active at any instant. Untracked
+ * absorbs everything outside a named scope; docs/performance.md
+ * documents what each named phase covers and — just as important —
+ * what it does not.
  */
 enum class Phase : std::uint8_t {
     Untracked = 0, ///< no named scope active (self-audit target)
-    EventDrain,    ///< event-queue drain + parallel merge pass
+    EventDrain,    ///< event-queue drain
     Fiber,         ///< fiber quantum execution (direct execution)
     Mem,           ///< MP/SM memory-model miss and fault handling
     Protocol,      ///< coherence-protocol event handlers
     Net,           ///< network delivery into node interfaces
     Trace,         ///< flight-recorder snapshot + artifact writing
     Audit,         ///< invariant audits + report collection
-    Rendezvous,    ///< parallel-host barrier waits (both sides)
 };
 
-inline constexpr std::size_t kNumPhases = 9;
+inline constexpr std::size_t kNumPhases = 8;
 
 /** snake_case phase name, as used in manifests and records. */
 const char* phaseName(Phase p);
@@ -105,7 +98,7 @@ inline constexpr std::uint32_t kDefaultSamplePeriod = 64;
 namespace detail
 {
 
-extern std::atomic<bool> g_enabled;
+extern bool g_enabled;
 extern std::uint32_t g_samplePeriod;
 extern std::uint64_t (*g_tickOverride)(); ///< tests only; null = real
 
@@ -129,11 +122,10 @@ tickNow()
 }
 
 /**
- * Per-thread accumulator. `acc` sums to exactly `last - start` after
- * every flush, so per-thread coverage is well-defined by
- * construction. Shards are heap-allocated, owned by the registry,
- * and deliberately leaked: the atexit manifest writer must be able
- * to read them after static destructors start running.
+ * The accumulator. `acc` sums to exactly `last - start` after every
+ * flush, so coverage is well-defined by construction. Trivially
+ * destructible, so the atexit manifest writer can still read it
+ * after static destructors start running.
  */
 struct Shard {
     std::uint64_t acc[kNumPhases] = {};
@@ -142,35 +134,34 @@ struct Shard {
     std::uint64_t start = 0;
     std::uint64_t last = 0;
     Phase cur = Phase::Untracked;
+    bool live = false; ///< started by enable(), cleared by reset
 };
 
-extern thread_local Shard* tls_shard;
+/** The one process-wide shard. */
+extern Shard g_shard;
 
 /** Out-of-line slow path of a sampled entry: exact transition. */
 Phase sampleBegin(Phase p);
 
 } // namespace detail
 
-/** Is the profiler accounting right now? One relaxed load. */
+/** Is the profiler accounting right now? One load. */
 inline bool
 enabled()
 {
-    return detail::g_enabled.load(std::memory_order_relaxed);
+    return detail::g_enabled;
 }
 
-/** The calling thread's current phase (Untracked if unregistered). */
+/** The current phase (Untracked before the first enable()). */
 inline Phase
 currentPhase()
 {
-    const detail::Shard* sh = detail::tls_shard;
-    return sh ? sh->cur : Phase::Untracked;
+    return detail::g_shard.cur;
 }
 
 /**
- * Start accounting. Registers the calling thread. Threads spawned
- * while enabled register themselves via ThreadGuard; threads that
- * never register simply contribute nothing (the coverage audit is
- * per-registered-thread, not per-process). Idempotent.
+ * Start accounting; the first call after a reset starts the shard's
+ * measured window. Idempotent.
  */
 void enable();
 
@@ -187,29 +178,9 @@ void disable();
 
 /**
  * Set the SampledPhase duty period (1 = exact, default 64). Applies
- * to shards registered afterwards; call before enable().
+ * from the next shard start; call before enable().
  */
 void setSamplePeriod(std::uint32_t period);
-
-/**
- * Register the calling thread with the profiler (no-op when disabled
- * or already registered). Engine pool workers call this on entry.
- */
-void registerThread();
-
-/**
- * Flush and retire the calling thread's shard. Its totals stay in
- * the registry; the thread may re-register later (new shard).
- */
-void finalizeThread();
-
-/** RAII register/finalize for worker threads. */
-struct ThreadGuard {
-    ThreadGuard() { registerThread(); }
-    ~ThreadGuard() { finalizeThread(); }
-    ThreadGuard(const ThreadGuard&) = delete;
-    ThreadGuard& operator=(const ThreadGuard&) = delete;
-};
 
 /** The configured SampledPhase duty period. */
 inline std::uint32_t
@@ -221,7 +192,7 @@ samplePeriod()
 /**
  * Charge elapsed ticks to the current phase and switch to @p next.
  * Returns the previous phase. No-op (returns Untracked) when the
- * profiler is off or the thread is unregistered.
+ * profiler is off.
  *
  * This is the primitive the fiber scheduler uses to carry a logical
  * phase across fiber switches: the engine saves the processor's
@@ -233,15 +204,13 @@ exchangePhase(Phase next)
 {
     if (!enabled())
         return Phase::Untracked;
-    detail::Shard* sh = detail::tls_shard;
-    if (sh == nullptr)
-        return Phase::Untracked;
+    detail::Shard& sh = detail::g_shard;
     std::uint64_t now = detail::tickNow();
-    if (now > sh->last)
-        sh->acc[static_cast<std::size_t>(sh->cur)] += now - sh->last;
-    sh->last = now;
-    Phase prev = sh->cur;
-    sh->cur = next;
+    if (now > sh.last)
+        sh.acc[static_cast<std::size_t>(sh.cur)] += now - sh.last;
+    sh.last = now;
+    Phase prev = sh.cur;
+    sh.cur = next;
     return prev;
 }
 
@@ -272,9 +241,9 @@ class ScopedPhase
 
 /**
  * RAII phase scope for per-event hot paths (mem/protocol/net).
- * Every Nth entry (per phase, per thread) measures exactly; the
- * others cost one decrement and leave the time in the enclosing
- * phase, which the report corrects by the duty period. See the file
+ * Every Nth entry (per phase) measures exactly; the others cost one
+ * decrement and leave the time in the enclosing phase, which the
+ * report corrects by the duty period. See the file
  * comment for why the split — not the sum — is the estimate.
  */
 class SampledPhase
@@ -284,10 +253,7 @@ class SampledPhase
     {
         if (!enabled())
             return;
-        detail::Shard* sh = detail::tls_shard;
-        if (sh == nullptr)
-            return;
-        if (--sh->duty[static_cast<std::size_t>(p)] != 0)
+        if (--detail::g_shard.duty[static_cast<std::size_t>(p)] != 0)
             return;
         prev_ = detail::sampleBegin(p);
         armed_ = true;
@@ -319,7 +285,7 @@ class ForcedSamplePhase
   public:
     explicit ForcedSamplePhase(Phase p)
     {
-        if (!enabled() || detail::tls_shard == nullptr)
+        if (!enabled())
             return;
         prev_ = detail::sampleBegin(p);
         armed_ = true;
@@ -344,14 +310,14 @@ struct PhaseTotal {
     bool estimated = false; ///< scaled from a sampled measurement
 };
 
-/** Deterministic merge of all shards, live and retired. */
+/** Totals of the shard, with sampled phases scaled. */
 struct Report {
     double wallSec = 0.0;   ///< steady-clock time since enable()
-    double threadSec = 0.0; ///< sum of per-thread measured windows
+    double threadSec = 0.0; ///< the shard's measured window
     std::uint64_t totalTicks = 0;
     std::uint64_t namedTicks = 0; ///< totalTicks minus Untracked
     double coverage = 0.0;        ///< namedTicks / totalTicks
-    std::size_t threads = 0;      ///< shards merged
+    std::size_t threads = 0;      ///< 1 once enabled (manifest field)
     std::uint32_t samplePeriod = 1;
     PhaseTotal phase[kNumPhases];
 
@@ -362,12 +328,7 @@ struct Report {
     }
 };
 
-/**
- * Flush the calling thread's shard and merge every shard. Safe to
- * call only when no *other* registered thread is mid-phase (engine
- * workers finalize before the pool joins, so after Engine::run()
- * returns this holds by construction).
- */
+/** Flush the shard and report its totals. */
 Report snapshot();
 
 /** The one-line coverage self-audit printed with every manifest. */
@@ -382,13 +343,12 @@ void writeManifest(std::ostream& os, const Report& r);
  */
 bool writeManifestFile(const std::string& path);
 
-/** Drop all shards and disable. Test-only: callers must ensure no
- *  other thread still holds a shard pointer. */
+/** Zero the shard and disable. Test-only. */
 void resetForTest();
 
 /**
- * Replace the tick source (nullptr restores the real clock) and drop
- * all shards. Lets tests assert exact tick arithmetic.
+ * Replace the tick source (nullptr restores the real clock) and zero
+ * the shard. Lets tests assert exact tick arithmetic.
  */
 void setTickSourceForTest(std::uint64_t (*fn)());
 

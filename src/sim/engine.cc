@@ -3,149 +3,12 @@
 #include "audit/check.hh"
 #include "prof/hostprof.hh"
 
-#include <barrier>
 #include <sstream>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 
 namespace wwt::sim
 {
-
-namespace
-{
-
-/**
- * The processor whose fiber the current host thread is running, or
- * nullptr in event/host context. Set only under the parallel host;
- * the sequential engine never consults it.
- */
-thread_local Processor* tls_current_proc = nullptr;
-
-/**
- * True while the current host thread is executing fibers inside the
- * parallel phase of a quantum (as opposed to the serial pass, where
- * a single fiber runs with exclusive access to shared host state).
- */
-thread_local bool tls_parallel_phase = false;
-
-} // namespace
-
-// --------------------------------------------------------------------
-// Worker pool
-// --------------------------------------------------------------------
-
-/**
- * Persistent host workers, one quantum per round trip.
- *
- * Processor i is owned by worker (i % nWorkers) for the lifetime of
- * the pool, so each fiber is thread-affine: it is only ever switched
- * to from its owning worker's stack. The engine thread coordinates
- * rounds through a pair of std::barriers; barrier phase completion
- * gives the happens-before edges between the engine's event phase and
- * the workers' fiber phase, so per-processor state needs no locks.
- */
-class Engine::Pool
-{
-  public:
-    Pool(Engine& eng, std::size_t workers)
-        : eng_(eng), n_(workers),
-          start_(static_cast<std::ptrdiff_t>(workers + 1)),
-          done_(static_cast<std::ptrdiff_t>(workers + 1))
-    {
-        threads_.reserve(n_);
-        for (std::size_t w = 0; w < n_; ++w)
-            threads_.emplace_back([this, w] { workerLoop(w); });
-    }
-
-    ~Pool()
-    {
-        job_ = Job::Stop;
-        start_.arrive_and_wait();
-        for (auto& t : threads_)
-            t.join();
-    }
-
-    /** Parallel phase: every owner runs its ready processors. */
-    void
-    runQuantum(Cycle qend)
-    {
-        job_ = Job::Quantum;
-        qend_ = qend;
-        round();
-    }
-
-    /**
-     * Serial pass: continue one paused processor to the quantum end
-     * on its owning worker, all other workers idle at the barrier.
-     */
-    void
-    runOne(Processor& p, Cycle qend)
-    {
-        job_ = Job::One;
-        qend_ = qend;
-        one_ = &p;
-        round();
-    }
-
-  private:
-    enum class Job { Quantum, One, Stop };
-
-    void
-    round()
-    {
-        // The engine thread spends the whole round blocked on the two
-        // barriers: that wait *is* the rendezvous cost the host
-        // profiler reports.
-        prof::ScopedPhase rz(prof::Phase::Rendezvous);
-        start_.arrive_and_wait();
-        done_.arrive_and_wait();
-    }
-
-    void
-    workerLoop(std::size_t w)
-    {
-        prof::ThreadGuard prof_guard;
-        for (;;) {
-            {
-                prof::ScopedPhase rz(prof::Phase::Rendezvous);
-                start_.arrive_and_wait();
-            }
-            if (job_ == Job::Stop)
-                return;
-            if (job_ == Job::Quantum) {
-                prof::ScopedPhase fib(prof::Phase::Fiber);
-                tls_parallel_phase = true;
-                for (std::size_t i = w; i < eng_.procs_.size(); i += n_) {
-                    Processor& p = *eng_.procs_[i];
-                    if (p.ready() && p.now() < qend_)
-                        eng_.runProcSlice(p, qend_);
-                }
-                tls_parallel_phase = false;
-            } else if (one_->id() % n_ == w) {
-                prof::ScopedPhase fib(prof::Phase::Fiber);
-                eng_.runProcSlice(*one_, qend_);
-            }
-            {
-                prof::ScopedPhase rz(prof::Phase::Rendezvous);
-                done_.arrive_and_wait();
-            }
-        }
-    }
-
-    Engine& eng_;
-    std::size_t n_;
-    std::barrier<> start_;
-    std::barrier<> done_;
-    Job job_ = Job::Quantum;
-    Cycle qend_ = 0;
-    Processor* one_ = nullptr;
-    std::vector<std::thread> threads_;
-};
-
-// --------------------------------------------------------------------
-// Engine
-// --------------------------------------------------------------------
 
 Engine::Engine(std::size_t nprocs, Cycle quantum, std::size_t stack_bytes)
     : quantum_(quantum)
@@ -159,47 +22,6 @@ Engine::Engine(std::size_t nprocs, Cycle quantum, std::size_t stack_bytes)
         procs_.push_back(std::make_unique<Processor>(
             *this, static_cast<NodeId>(i), stack_bytes));
     }
-}
-
-void
-Engine::setHostThreads(std::size_t n)
-{
-    hostThreads_ = n ? n : 1;
-}
-
-void
-Engine::schedule(Cycle t, EventQueue::Callback cb, prof::Phase tag)
-{
-    if (hostThreads_ > 1 && tls_current_proc) {
-        tls_current_proc->deferred_.push_back(
-            Processor::DeferredOp{t, std::move(cb), true, tag});
-        return;
-    }
-    events_.schedule(t, std::move(cb), tag);
-}
-
-void
-Engine::defer(EventQueue::Callback fn)
-{
-    if (hostThreads_ > 1 && tls_current_proc) {
-        tls_current_proc->deferred_.push_back(
-            Processor::DeferredOp{0, std::move(fn), false});
-        return;
-    }
-    fn();
-}
-
-bool
-Engine::deferring() const
-{
-    return hostThreads_ > 1 && tls_current_proc != nullptr;
-}
-
-void
-Engine::serialPoint(Processor& p)
-{
-    if (hostThreads_ > 1 && tls_parallel_phase)
-        p.serialYield();
 }
 
 trace::Tracer&
@@ -234,18 +56,6 @@ Engine::runAudits() const
         fn();
 }
 
-bool
-Engine::allFinished() const
-{
-    for (const auto& p : procs_) {
-        if (p->state() != Processor::State::Idle &&
-            p->state() != Processor::State::Finished) {
-            return false;
-        }
-    }
-    return true;
-}
-
 Cycle
 Engine::elapsed() const
 {
@@ -253,14 +63,6 @@ Engine::elapsed() const
     for (const auto& p : procs_)
         t = std::max(t, p->now());
     return t;
-}
-
-void
-Engine::runProcSlice(Processor& p, Cycle quantum_end)
-{
-    tls_current_proc = &p;
-    runUntilPhased(p, quantum_end);
-    tls_current_proc = nullptr;
 }
 
 void
@@ -273,10 +75,9 @@ Engine::runUntilPhased(Processor& p, Cycle quantum_end)
     }
     // Swap in the phase the fiber was last running under; on return
     // (any yield) save where the fiber got to, so a scope opened
-    // inside the fiber resumes correctly on the next slice — even on
-    // another host thread.
+    // inside the fiber resumes correctly on the next slice.
     //
-    // Both callers run slices under an enclosing Fiber scope, and a
+    // run() executes slices under an enclosing Fiber phase, and a
     // fiber's phase is Fiber unless it yielded mid-scope (rare with
     // duty-sampled memory scopes), so the common case is "nothing to
     // swap": skip the clock reads entirely unless the saved phase
@@ -333,26 +134,13 @@ Engine::idleSkipOrDeadlock()
 void
 Engine::run()
 {
-    if (hostThreads_ > 1 && procs_.size() > 1)
-        runParallel();
-    else
-        runSequential();
-    {
-        prof::ScopedPhase au(prof::Phase::Audit);
-        runAudits();
-    }
-}
-
-void
-Engine::runSequential()
-{
     // The loop's termination test is a live-processor count, not a
-    // per-quantum allFinished() scan: a processor leaves the live set
-    // only inside its own runUntil slice (nothing un-finishes a
-    // processor), so decrementing right after the slice is exact and
-    // saves one full pass over the processor array per quantum — a
-    // measurable slice of host time at ~1 quantum per 100 simulated
-    // cycles.
+    // per-quantum scan of every processor's state: a processor leaves
+    // the live set only inside its own runUntil slice (nothing
+    // un-finishes a processor), so decrementing right after the slice
+    // is exact and saves one full pass over the processor array per
+    // quantum — a measurable slice of host time at ~1 quantum per 100
+    // simulated cycles.
     std::size_t live = 0;
     for (const auto& p : procs_) {
         Processor::State s = p->state();
@@ -365,7 +153,7 @@ Engine::runSequential()
     // scan, which is fiber bookkeeping). runUntilPhased sees the
     // enclosing Fiber phase and elides its own swaps in the common
     // case, so this pair of clock reads is the whole per-quantum
-    // profiling cost on the sequential path.
+    // profiling cost.
     prof::Phase outer0 = prof::currentPhase();
     while (live != 0) {
         Cycle qend = quantumStart_ + quantum_;
@@ -407,124 +195,9 @@ Engine::runSequential()
             idleSkipOrDeadlock();
     }
     prof::exchangePhase(outer0);
-}
-
-void
-Engine::runParallel()
-{
-    // Effective worker count never exceeds the processor count; the
-    // engine thread itself only coordinates and merges.
-    Pool pool(*this, std::min(hostThreads_, procs_.size()));
-
-    while (!allFinished()) {
-        Cycle qend = quantumStart_ + quantum_;
-
-        // Phase 1 (engine thread): hardware events with timestamps in
-        // this window — protocol services, packet deliveries, barrier
-        // releases. All cross-processor state mutates here or in the
-        // merge below, never concurrently with fibers.
-        std::size_t nev;
-        {
-            prof::ScopedPhase ev(prof::Phase::EventDrain);
-            nev = events_.runUntil(qend);
-        }
-        if (tracer_ && nev != 0) {
-            tracer_->instant(tracer_->engineTrack(),
-                             trace::InstantKind::QuantumEvents,
-                             quantumStart_,
-                             static_cast<std::uint32_t>(nev));
-        }
-
-        // A processor is run this quantum exactly when the sequential
-        // engine would have run it, so `ran` matches the sequential
-        // flag by construction.
-        bool ran = false;
-        for (auto& p : procs_) {
-            if (p->ready() && p->now() < qend) {
-                ran = true;
-                break;
-            }
-        }
-
-        if (ran) {
-            // Phase 2a (workers): every owner advances its ready
-            // fibers to the quantum end. Fibers touch only their own
-            // processor's clock, stats, cache and trace track;
-            // cross-processor operations land on per-processor
-            // deferred lists.
-            pool.runQuantum(qend);
-
-            // Phase 2b (serial pass): processors paused at a serial
-            // point (gmalloc) continue one at a time in id order,
-            // giving shared host structures the sequential
-            // interleaving.
-            for (auto& p : procs_) {
-                if (p->serialPending_) {
-                    p->serialPending_ = false;
-                    pool.runOne(*p, qend);
-                }
-            }
-
-            // Every fiber must have reached the causality boundary (or
-            // blocked) before the merge touches shared state; a ready
-            // processor still inside the window means a worker dropped
-            // a slice or a serial continuation was lost.
-            for (auto& p : procs_) {
-                WWT_AUDIT(!p->ready() || p->now() >= qend,
-                          "quantum rendezvous: proc "
-                              << p->id() << " is ready at cycle "
-                              << p->now() << " inside quantum ending at "
-                              << qend);
-                WWT_AUDIT(!p->serialPending_,
-                          "quantum rendezvous: proc "
-                              << p->id()
-                              << " still paused at a serial point after "
-                                 "the serial pass (quantum ending at "
-                              << qend << ")");
-            }
-
-            // Phase 3 (merge, engine thread): drain the deferred
-            // operations in (processor id, program order) — the
-            // calendar insertion order of a sequential run, so event
-            // sequence numbers (and thus same-timestamp tie-breaking)
-            // are bit-identical. Host-profiler-wise this is event
-            // work: calendar inserts plus immediate handlers, charged
-            // to EventDrain like the drain loop they were deferred
-            // from; deferred schedules keep their phase tag, so the
-            // events themselves still attribute to Protocol/Net when
-            // the drain loop samples them.
-            prof::ScopedPhase ev(prof::Phase::EventDrain);
-            for (auto& p : procs_) {
-                if (p->deferred_.empty())
-                    continue;
-                for (auto& op : p->deferred_) {
-                    if (op.isSchedule)
-                        events_.schedule(op.at, std::move(op.fn),
-                                         op.tag);
-                    else
-                        op.fn();
-                }
-                p->deferred_.clear();
-            }
-
-            // Merged operations run in event/host context, so nothing
-            // may have re-queued onto a deferred list.
-            for (auto& p : procs_) {
-                WWT_AUDIT(p->deferred_.empty(),
-                          "quantum merge: proc "
-                              << p->id() << " re-queued "
-                              << p->deferred_.size()
-                              << " deferred operation(s) during the merge "
-                                 "pass (quantum ending at "
-                              << qend << ")");
-            }
-        }
-
-        if (nev != 0 || ran) {
-            quantumStart_ = qend;
-            continue;
-        }
-        idleSkipOrDeadlock();
+    {
+        prof::ScopedPhase au(prof::Phase::Audit);
+        runAudits();
     }
 }
 

@@ -13,24 +13,18 @@
  * carry exact timestamps and are executed in (time, sequence) order at
  * the start of the quantum containing them.
  *
- * The same causality window that WWT exploited for parallel direct
- * execution on the CM-5 host is exploited here for host threads: with
- * setHostThreads(N > 1) the target processors are partitioned across N
- * worker threads, each worker runs its processors' fibers to the end
- * of the current quantum independently, and the workers rendezvous at
- * a host barrier where cross-processor operations queued during the
- * quantum (calendar insertions, barrier arrivals, contended-network
- * bookkeeping) are merged in a deterministic order — (processor id,
- * per-processor program order), which is exactly the order the
- * sequential engine would have performed them in. An N-thread run is
- * therefore bit-identical to the sequential run; the CI determinism
- * gate and tests/test_parallel_engine.cc enforce this. See
- * docs/parallel_host.md for the full model.
+ * The engine is sequential: one host thread alternates between
+ * draining the calendar up to the quantum end and running each ready
+ * processor's fiber to that end, in processor-id order. Every
+ * cross-processor operation (calendar insertion, barrier arrival,
+ * link bookkeeping) therefore happens in (processor id, program
+ * order) within a quantum, which makes runs deterministic.
  */
 
 #include <cstddef>
 #include <functional>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "sim/event_queue.hh"
@@ -60,48 +54,16 @@ class Engine
     Cycle quantum() const { return quantum_; }
 
     /**
-     * Host worker threads used by run(). 1 (the default) keeps the
-     * sequential engine; N > 1 partitions the processors across N
-     * workers (capped at the processor count). Must be set before
-     * run(). Results are bit-identical for every value of N.
-     */
-    void setHostThreads(std::size_t n);
-    std::size_t hostThreads() const { return hostThreads_; }
-
-    /**
-     * Schedule an event at absolute target time @p t. When called
-     * from a fiber under the parallel host, the insertion is deferred
-     * to the quantum rendezvous (in deterministic merge order); from
-     * event/host context, or sequentially, it takes effect at once.
-     * @p tag names the host-profiler phase the event runs under (see
+     * Schedule an event at absolute target time @p t. @p tag names
+     * the host-profiler phase the event runs under (see
      * EventQueue::schedule).
      */
-    void schedule(Cycle t, EventQueue::Callback cb,
-                  prof::Phase tag = prof::Phase::EventDrain);
-
-    /**
-     * Run @p fn against shared engine-side state. Sequentially, and
-     * from event/host context, @p fn runs immediately. From a fiber
-     * under the parallel host it is queued on the calling processor's
-     * deferred list and executed single-threadedly at the quantum
-     * rendezvous, in (processor id, program order) — the sequential
-     * execution order. Cross-processor hardware models (barrier
-     * registration, contended-link bookkeeping) route through this.
-     */
-    void defer(EventQueue::Callback fn);
-
-    /** True when a defer() issued right now would be queued. */
-    bool deferring() const;
-
-    /**
-     * Fiber-side serialization point for value-returning operations
-     * on shared host state (the gmalloc allocator). A no-op
-     * sequentially; under the parallel host the calling fiber is
-     * paused and continued by the engine's serial pass after the
-     * worker rendezvous, in processor-id order, so the operations
-     * interleave exactly as in a sequential run.
-     */
-    void serialPoint(Processor& p);
+    void
+    schedule(Cycle t, EventQueue::Callback cb,
+             prof::Phase tag = prof::Phase::EventDrain)
+    {
+        events_.schedule(t, std::move(cb), tag);
+    }
 
     /** Assign the program run by processor @p id. */
     void setBody(NodeId id, Processor::Body body);
@@ -148,13 +110,6 @@ class Engine
     trace::Tracer* tracer() const { return tracer_.get(); }
 
   private:
-    class Pool;
-
-    bool allFinished() const;
-    void runSequential();
-    void runParallel();
-    /** Run @p p's fiber with the current-processor TLS installed. */
-    void runProcSlice(Processor& p, Cycle quantum_end);
     /**
      * p.runUntil under the fiber's saved host-profiler phase: the
      * engine-side phase is parked across the slice and the fiber's
@@ -162,14 +117,13 @@ class Engine
      */
     static void runUntilPhased(Processor& p, Cycle quantum_end);
     /**
-     * Shared idle-window handling: fast-forward quantumStart_ to the
-     * next interesting time, or throw the deadlock diagnostic.
+     * Idle-window handling: fast-forward quantumStart_ to the next
+     * interesting time, or throw the deadlock diagnostic.
      */
     void idleSkipOrDeadlock();
 
     Cycle quantum_;
     Cycle quantumStart_ = 0;
-    std::size_t hostThreads_ = 1;
     EventQueue events_;
     std::vector<std::unique_ptr<Processor>> procs_;
     std::unique_ptr<trace::Tracer> tracer_;

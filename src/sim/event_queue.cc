@@ -90,11 +90,11 @@ EventQueue::runUntil(Cycle limit)
     std::size_t n = 0;
     // Calendar monotonicity: within one drain, events must come out in
     // strictly increasing (time, seq) order — the total order that
-    // makes same-timestamp tie-breaking (and thus parallel-host runs)
-    // deterministic. Across drains the clock may step back: an event
-    // handler or fiber can legally schedule into the current window
-    // (self-latency is below the quantum), and such stragglers execute
-    // on the next drain with their original timestamps.
+    // makes same-timestamp tie-breaking deterministic. Across drains
+    // the clock may step back: an event handler or fiber can legally
+    // schedule into the current window (self-latency is below the
+    // quantum), and such stragglers execute on the next drain with
+    // their original timestamps.
     Cycle lastTime = 0;
     std::uint64_t lastSeq = 0;
     bool first = true;

@@ -5,15 +5,6 @@
 #include <stdexcept>
 #include <utility>
 
-#ifdef WWT_TSAN_FIBERS
-extern "C" {
-void* __tsan_get_current_fiber();
-void* __tsan_create_fiber(unsigned flags);
-void __tsan_destroy_fiber(void* fiber);
-void __tsan_switch_to_fiber(void* fiber, unsigned flags);
-}
-#endif
-
 namespace wwt::sim
 {
 
@@ -24,17 +15,6 @@ Fiber::Fiber(std::size_t stack_bytes, Entry entry)
 {
     if (!entry_)
         throw std::invalid_argument("Fiber requires a non-empty entry");
-#ifdef WWT_TSAN_FIBERS
-    tsanFiber_ = __tsan_create_fiber(0);
-#endif
-}
-
-Fiber::~Fiber()
-{
-#ifdef WWT_TSAN_FIBERS
-    if (tsanFiber_)
-        __tsan_destroy_fiber(tsanFiber_);
-#endif
 }
 
 void
@@ -52,9 +32,6 @@ Fiber::runEntry()
     finished_ = true;
     // Return control to the caller forever; switching back to a
     // finished fiber is a caller bug caught in switchTo().
-#ifdef WWT_TSAN_FIBERS
-    __tsan_switch_to_fiber(tsanCaller_, 0);
-#endif
     _longjmp(callerJb_, 1);
 }
 
@@ -67,10 +44,6 @@ Fiber::switchTo()
     // happen tens of millions of times per simulation.
     if (_setjmp(callerJb_) != 0)
         return; // the fiber yielded or finished
-#ifdef WWT_TSAN_FIBERS
-    tsanCaller_ = __tsan_get_current_fiber();
-    __tsan_switch_to_fiber(tsanFiber_, 0);
-#endif
     if (!started_) {
         started_ = true;
         if (getcontext(&ctx_) != 0)
@@ -94,9 +67,6 @@ void
 Fiber::yieldToCaller()
 {
     if (_setjmp(fiberJb_) == 0) {
-#ifdef WWT_TSAN_FIBERS
-        __tsan_switch_to_fiber(tsanCaller_, 0);
-#endif
         _longjmp(callerJb_, 1);
     }
 }

@@ -10,14 +10,7 @@
  * Wisconsin Wind Tunnel suspends a target thread at a simulated miss.
  *
  * The implementation uses POSIX ucontext, like gem5's Fiber class.
- *
- * Under the parallel host (docs/parallel_host.md) a fiber is
- * thread-affine: its processor is owned by one host worker, so a fiber
- * is always entered from that worker — except for serial-section
- * continuations, which the engine hands to the owning worker rather
- * than migrating the fiber. Under ThreadSanitizer the switches are
- * annotated through the __tsan fiber API so the stack changes are
- * understood by the race detector.
+ * All fibers are entered from the engine's one host thread.
  */
 
 #include <setjmp.h>
@@ -26,14 +19,6 @@
 #include <cstddef>
 #include <functional>
 #include <memory>
-
-#if defined(__SANITIZE_THREAD__)
-#define WWT_TSAN_FIBERS 1
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define WWT_TSAN_FIBERS 1
-#endif
-#endif
 
 namespace wwt::sim
 {
@@ -60,7 +45,6 @@ class Fiber
 
     Fiber(const Fiber&) = delete;
     Fiber& operator=(const Fiber&) = delete;
-    ~Fiber();
 
     /**
      * Transfer control from the caller (engine) into the fiber.
@@ -88,10 +72,6 @@ class Fiber
     jmp_buf fiberJb_{};      ///< steady-state switch target (fiber)
     bool started_ = false;
     bool finished_ = false;
-#ifdef WWT_TSAN_FIBERS
-    void* tsanFiber_ = nullptr; ///< TSan context of this fiber
-    void* tsanCaller_ = nullptr; ///< TSan context of the last caller
-#endif
 };
 
 } // namespace wwt::sim

@@ -79,7 +79,7 @@ Processor::blockFor(CostKind k)
     if (tracer_) {
         tracer_->span(id_, map(k), t0, clock_);
         if (const trace::LatencyKind* lk = stallLatencyKind(k))
-            tracer_->latency(id_, *lk, clock_ - t0);
+            tracer_->latency(*lk, clock_ - t0);
     }
     checkInterrupt();
     return clock_;
@@ -103,24 +103,14 @@ Processor::setInterruptHandler(std::function<void()> h)
 }
 
 void
-Processor::serialYield()
-{
-    assert(onFiber_ && "serialYield() outside the processor's fiber");
-    serialPending_ = true;
-    yieldFiber(State::Ready);
-    // Resumed by the engine's serial pass: the caller now runs with
-    // exclusive access to shared host state, at an unchanged clock.
-}
-
-void
 Processor::yieldFiber(State new_state)
 {
     state_ = new_state;
     onFiber_ = false;
     fiber_->yieldToCaller();
-    // Back on the fiber: the engine set state_ = Running. Events (or,
-    // under the parallel host, the merge pass) may have run while we
-    // were off the fiber — invalidate pre-yield machine-state samples.
+    // Back on the fiber: the engine set state_ = Running. Events may
+    // have run while we were off the fiber — invalidate pre-yield
+    // machine-state samples.
     ++stallGen_;
     onFiber_ = true;
 }

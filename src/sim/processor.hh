@@ -25,7 +25,6 @@
 
 #include "prof/hostprof.hh"
 #include "sim/fiber.hh"
-#include "sim/small_fn.hh"
 #include "sim/types.hh"
 #include "stats/proc_stats.hh"
 #include "trace/tracer.hh"
@@ -158,11 +157,11 @@ class Processor
 
     /**
      * Monotonic count of the points at which foreign code may have
-     * run on behalf of (or concurrently with) this fiber: every fiber
-     * yield and every delivered interrupt bumps it. A memory front
-     * end that sampled machine state before a charge may keep trusting
-     * that sample exactly when the generation is unchanged afterwards
-     * — nothing else can have mutated the model in between (events
+     * run on behalf of this fiber: every fiber yield and every
+     * delivered interrupt bumps it. A memory front end that sampled
+     * machine state before a charge may keep trusting that sample
+     * exactly when the generation is unchanged afterwards —
+     * nothing else can have mutated the model in between (events
      * only run between fiber slices, handlers only at delivery).
      */
     std::uint64_t stallGen() const { return stallGen_; }
@@ -172,16 +171,6 @@ class Processor
 
     /** Engine side: run the fiber until it passes @p quantum_end. */
     void runUntil(Cycle quantum_end);
-
-    /**
-     * Fiber side: pause for the engine's serial section. Sets the
-     * serial-pending flag and yields in the Ready state; the engine
-     * resumes the fiber once all host workers have reached the
-     * quantum rendezvous, so the code after the yield runs with
-     * exclusive access to shared host structures (the allocator).
-     * The clock does not move, so timing is unaffected.
-     */
-    void serialYield();
 
     stats::Category
     map(CostKind k) const
@@ -234,9 +223,6 @@ class Processor
     bool irqPending_ = false;
     bool inIrq_ = false;
 
-    // ---- Parallel-host state (engine-managed, see engine.cc) ----
-    /** Paused at a serial point; awaiting the engine's serial pass. */
-    bool serialPending_ = false;
     /**
      * Host-profiler phase this fiber last ran under, saved and
      * restored by the engine around each runUntil slice so a
@@ -245,30 +231,6 @@ class Processor
      * into engine-side phases.
      */
     prof::Phase hostPhase_ = prof::Phase::Fiber;
-    /**
-     * One cross-processor operation issued by this processor's fiber
-     * during the current quantum: either a calendar schedule (executed
-     * as events_.schedule(at, fn) at the rendezvous) or an immediate
-     * action (executed as fn()). Stored natively rather than wrapped
-     * in a forwarding lambda so the capture still fits an EventFn's
-     * inline buffer — a wrapper around an already-inline-sized
-     * callback would spill every deferred schedule to the arena.
-     */
-    struct DeferredOp {
-        Cycle at = 0;
-        EventFn fn;
-        bool isSchedule = false;
-        /** Host-profiler tag forwarded to the calendar insert. */
-        prof::Phase tag = prof::Phase::EventDrain;
-    };
-
-    /**
-     * Cross-processor operations issued by this processor's fiber
-     * during the current quantum, in program order. The engine drains
-     * the lists at the quantum rendezvous in processor-id order, which
-     * reproduces the sequential calendar-insertion order exactly.
-     */
-    std::vector<DeferredOp> deferred_;
 };
 
 /** RAII guard installing an attribution frame on a processor. */

@@ -5,11 +5,10 @@
  * Small-buffer callables and the event arena.
  *
  * Every hardware interaction in the simulator is an event: a closure
- * scheduled on the calendar, deferred to the quantum rendezvous, or
- * handed to the network for delivery. std::function heap-allocates any
- * capture larger than its tiny internal buffer, which put one
- * malloc/free pair on the critical path of every protocol message,
- * packet delivery and deferred schedule. SmallFn instead stores
+ * scheduled on the calendar or handed to the network for delivery.
+ * std::function heap-allocates any capture larger than its tiny
+ * internal buffer, which put one malloc/free pair on the critical path
+ * of every protocol message and packet delivery. SmallFn instead stores
  * captures up to its template capacity inside the object itself, so
  * the calendar's backing vector IS the event storage; kEventInlineBytes
  * is sized for the largest hot-path closure (a directory-protocol
@@ -26,7 +25,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -41,13 +39,9 @@ namespace wwt::sim
  * A recycling allocator for event captures that do not fit inline in
  * a SmallFn. Blocks are carved from large slabs and returned to a
  * free list on destruction, so steady-state simulation performs no
- * heap traffic even for oversized events. The free list is global and
- * mutex-guarded rather than thread-local: a deferred event may be
- * created on one host thread and destroyed on another during the
- * quantum merge, and a global list keeps every block valid for the
- * lifetime of the process regardless of which thread freed it.
- * Oversized captures are rare (see docs/performance.md), so the lock
- * is uncontended in practice.
+ * heap traffic even for oversized events. The free list is one
+ * process-wide list; oversized captures are rare (see
+ * docs/performance.md).
  */
 class CallbackArena
 {
@@ -62,7 +56,6 @@ class CallbackArena
         if (n > kBlockBytes)
             return ::operator new(n);
         State& s = state();
-        std::lock_guard<std::mutex> lock(s.mutex);
         if (s.freeList != nullptr) {
             Node* b = s.freeList;
             s.freeList = b->next;
@@ -88,7 +81,6 @@ class CallbackArena
             return;
         }
         State& s = state();
-        std::lock_guard<std::mutex> lock(s.mutex);
         Node* b = static_cast<Node*>(p);
         b->next = s.freeList;
         s.freeList = b;
@@ -98,18 +90,14 @@ class CallbackArena
     static std::uint64_t
     blocksCarved()
     {
-        State& s = state();
-        std::lock_guard<std::mutex> lock(s.mutex);
-        return s.carved;
+        return state().carved;
     }
 
     /** Free-list grants that recycled a previously released block. */
     static std::uint64_t
     blocksReused()
     {
-        State& s = state();
-        std::lock_guard<std::mutex> lock(s.mutex);
-        return s.reused;
+        return state().reused;
     }
 
   private:
@@ -121,7 +109,6 @@ class CallbackArena
     static_assert(sizeof(Node) <= kBlockBytes);
 
     struct State {
-        std::mutex mutex;
         std::vector<std::unique_ptr<unsigned char[]>> slabs;
         std::size_t slabUsed = 0;
         Node* freeList = nullptr;
@@ -290,7 +277,7 @@ class SmallFn
 /** Inline capture capacity of an event callback (bytes). */
 inline constexpr std::size_t kEventInlineBytes = 88;
 
-/** The callable type carried by every calendar and deferred event. */
+/** The callable type carried by every calendar event. */
 using EventFn = SmallFn<kEventInlineBytes>;
 
 } // namespace wwt::sim

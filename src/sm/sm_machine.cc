@@ -41,7 +41,6 @@ SmMachine::SmMachine(const core::MachineConfig& cfg)
       }()),
       proto_(engine_, net_, shalloc_, store_, pointers(caches_), cfg_)
 {
-    engine_.setHostThreads(cfg_.hostThreads);
     nodes_.reserve(cfg_.nprocs);
     for (NodeId i = 0; i < cfg_.nprocs; ++i) {
         nodes_.push_back(std::make_unique<Node>(
@@ -85,13 +84,6 @@ Addr
 SmMachine::Node::gmalloc(std::size_t bytes, std::size_t align)
 {
     proc.charge(10); // allocator bookkeeping
-    // The shared allocator's bump pointer, round-robin cursor and
-    // page-home table are machine-wide, and the result is needed
-    // right now: a serial point hands the fiber to the engine's
-    // serial pass under the parallel host, so allocations interleave
-    // in the sequential processor-id order and addresses and homes
-    // come out bit-identical.
-    m_.engine_.serialPoint(proc);
     return m_.shalloc_.galloc(bytes, id, align);
 }
 
@@ -99,7 +91,6 @@ Addr
 SmMachine::Node::gmallocLocal(std::size_t bytes, std::size_t align)
 {
     proc.charge(10);
-    m_.engine_.serialPoint(proc);
     return m_.shalloc_.gallocLocal(bytes, id, align);
 }
 

@@ -76,9 +76,8 @@ class LogHistogram
 
     /**
      * Fold @p o into this histogram. Buckets, counts and sums add;
-     * min/max combine. Merging is commutative and associative, so a
-     * set of per-processor shards merges to the same histogram no
-     * matter the order — the property the parallel host relies on.
+     * min/max combine. Merging is commutative and associative, so
+     * histograms merge to the same result in any order.
      */
     void
     merge(const LogHistogram& o)

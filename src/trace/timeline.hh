@@ -13,8 +13,7 @@
  * the window width doubles and adjacent windows fold pairwise, exactly
  * like a zooming-out strip chart. Folding is linear, so the final
  * state depends only on the multiset of added intervals and the final
- * width — never on insertion order — which keeps exported timelines
- * byte-identical across host-thread counts (docs/parallel_host.md).
+ * width — never on insertion order.
  */
 
 #include <cstdint>

@@ -196,7 +196,7 @@ Tracer::lockReleased(NodeId p, std::uint64_t lock, Cycle t)
         return; // release without a recorded acquire: ignore
     Cycle t0 = it->second;
     open.erase(it);
-    latency(p, LatencyKind::LockHold, t - t0);
+    latency(LatencyKind::LockHold, t - t0);
     op(p, OpKind::LockHold, t0, t);
 }
 

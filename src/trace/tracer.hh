@@ -7,27 +7,20 @@
  * A Tracer keeps one ring buffer of typed records per track — one
  * track per simulated processor plus an "engine" track for machine-
  * wide events (quantum dispatch, barrier releases) — together with
- * log-2 latency histograms. Hook points throughout the stack (the
- * processor's cycle charges, protocol transactions, network packets,
- * collectives, locks, phase switches) append records in simulated
- * time, so a run can be replayed as a per-processor timeline.
+ * one log-2 latency histogram per latency kind. Hook points throughout
+ * the stack (the processor's cycle charges, protocol transactions,
+ * network packets, collectives, locks, phase switches) append records
+ * in simulated time, so a run can be replayed as a per-processor
+ * timeline.
  *
  * Cost discipline: tracing never charges simulated cycles (hooks only
  * observe), so enabling it cannot perturb the attribution the paper's
  * tables are built from. A *disabled* tracer costs exactly one
  * null-pointer branch at each hook. Ring buffers bound memory: when a
  * track overflows, the oldest records are overwritten and counted in
- * dropped().
- *
- * Threading discipline (docs/parallel_host.md): every mutable piece of
- * tracer state — ring buffers, latency-histogram shards, flow-id
- * counters, open-lock tables — is partitioned by track, and a track is
- * only ever written by the host thread currently running that
- * processor's fiber (or by the engine thread, for the engine track).
- * The tracer therefore needs no locks under the parallel host, and
- * histogram() merges the per-track shards on read, which is
- * order-independent and hence byte-identical across host-thread
- * counts.
+ * dropped(). Ring buffers, flow-id counters, wait timelines and
+ * open-lock tables are kept per track, because they are per-processor
+ * trace output.
  */
 
 #include <array>
@@ -164,10 +157,9 @@ class Tracer
     void instant(NodeId p, InstantKind k, Cycle t, std::uint32_t arg = 0);
 
     /**
-     * Allocate a fresh flow id for a flow originating on track @p p.
-     * Deterministic: a per-track counter tagged with the track number,
-     * so concurrent fibers never contend and ids are stable across
-     * host-thread counts.
+     * Allocate a fresh flow id for a flow originating on track @p p:
+     * a per-track counter tagged with the track number, so a flow's
+     * id names the processor that started it.
      */
     std::uint64_t
     newFlowId(NodeId p)
@@ -180,10 +172,10 @@ class Tracer
     void flowStep(NodeId p, FlowKind k, std::uint64_t id, Cycle t);
     void flowEnd(NodeId p, FlowKind k, std::uint64_t id, Cycle t);
 
-    /** Record a sample in track @p p's shard of the @p k histogram. */
-    void latency(NodeId p, LatencyKind k, Cycle v)
+    /** Record a sample in the @p k histogram. */
+    void latency(LatencyKind k, Cycle v)
     {
-        tracks_[p].hist[static_cast<std::size_t>(k)].record(v);
+        hist_[static_cast<std::size_t>(k)].record(v);
     }
 
     /** Lock-hold bracketing: hold time runs acquire -> release. */
@@ -197,21 +189,17 @@ class Tracer
     // Inspection / export.
     // ------------------------------------------------------------------
 
-    /** The @p k latency distribution, merged across track shards. */
-    LogHistogram
+    /** The @p k latency distribution. */
+    const LogHistogram&
     histogram(LatencyKind k) const
     {
-        LogHistogram h;
-        for (const Track& t : tracks_)
-            h.merge(t.hist[static_cast<std::size_t>(k)]);
-        return h;
+        return hist_[static_cast<std::size_t>(k)];
     }
 
     /**
      * Track @p p's wait timeline of kind @p k. Fed from the same hook
      * points as spans (span() for barrier waits, op() for channel
-     * writes), so it costs nothing when tracing is disabled and is
-     * written only by the host thread owning track @p p.
+     * writes), so it costs nothing when tracing is disabled.
      */
     const Timeline&
     timeline(NodeId p, TimelineKind k) const
@@ -246,8 +234,6 @@ class Tracer
         std::vector<Record> buf;
         std::size_t head = 0; ///< oldest record once the ring wrapped
         std::uint64_t dropped = 0;
-        /** This track's shard of each latency histogram. */
-        std::array<LogHistogram, kNumLatencyKinds> hist{};
         /** This track's wait timelines (simulated-time axis). */
         std::array<Timeline, kNumTimelineKinds> timelines{};
         std::uint64_t flowSeq = 0;
@@ -261,6 +247,7 @@ class Tracer
     std::size_t nprocs_;
     std::size_t cap_;
     std::vector<Track> tracks_;
+    std::array<LogHistogram, kNumLatencyKinds> hist_{};
 };
 
 } // namespace wwt::trace

@@ -302,6 +302,60 @@ TEST(Analyze, MissingStoreReturnsOne)
     EXPECT_EQ(exp::analyzeCampaign(t.path + "/nothere", opts, os), 1);
 }
 
+// Records written before the parallel host was removed list a
+// `rendezvous` host phase; a baseline made of them must diff like any
+// other, with `rendezvous` attributed as an ordinary named phase.
+TEST(Analyze, BaselineWithRendezvousPhaseIsAccepted)
+{
+    TempDir t;
+    std::vector<std::vector<double>> pc(
+        2, std::vector<double>(stats::kNumCategories, 1000.0));
+    std::string manifest = manifestJson(pc);
+
+    exp::Store base(t.path + "/base");
+    base.create();
+    writeFile(base.metricsPath("s"), manifest);
+    // One line in the older record layout, host phases included.
+    const std::string old_line =
+        R"({"schema":"wwtcmp.campaign-record/1","scenario":"s",)"
+        R"("config_hash":"099b2c2325d96fbc","status":"pass",)"
+        R"("attempts":1,"app":"em3d","machine":"sm","config":)"
+        R"({"app":"em3d","machine":"sm","procs":"2",)"
+        R"("cache_kb":"256","net_gap":"0","local_alloc":"0",)"
+        R"("tree":"lop","host_threads":"1","fast_hit":"1",)"
+        R"("size":"16","iters":"2"},"elapsed_cycles":451153,)"
+        R"("total_cycles_per_proc":451153,"cycles_per_proc":)"
+        R"({"computation":102636},"counts":{"barriers":18},)"
+        R"("wall_sec":2,"user_sec":1.5,"sys_sec":0.25,)"
+        R"("max_rss_kb":6292,"host_phases":{"untracked":0.25,)"
+        R"("event_drain":0.25,"fiber":0.25,"mem":0.25,)"
+        R"("protocol":0.25,"net":0.25,"trace":0.25,"audit":0.25,)"
+        R"("rendezvous":0.5},"metrics":"metrics/s.json",)"
+        R"("shape_violations":0,"error":""})";
+    writeFile(base.resultsPath(), old_line + "\n");
+
+    exp::Store cand(t.path + "/cand");
+    cand.create();
+    writeFile(cand.metricsPath("s"), manifest);
+    exp::RunRecord r = exp::RunRecord::fromJsonLine(old_line);
+    r.wallSec = 1.5;
+    r.hostPhases.pop_back(); // the current layout has no rendezvous
+    cand.append(r);
+
+    exp::AnalyzeOptions opts;
+    opts.baselineDir = t.path + "/base";
+    opts.jsonPath = t.path + "/a.json";
+    std::ostringstream os;
+    ASSERT_EQ(exp::analyzeCampaign(t.path + "/cand", opts, os), 0)
+        << os.str();
+    EXPECT_NE(os.str().find("host phase rendezvous   -0.500 s"),
+              std::string::npos)
+        << os.str();
+    std::string json = readFile(opts.jsonPath);
+    EXPECT_NE(json.find("\"phase\": \"rendezvous\""), std::string::npos)
+        << json;
+}
+
 // ------------------------------------------------------------------
 // End to end: the EM3D cache ablation, attributed to cache_kb.
 // ------------------------------------------------------------------

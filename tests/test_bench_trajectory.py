@@ -121,5 +121,50 @@ class ReadHostprofTest(unittest.TestCase):
                 bt.read_hostprof(mp)
 
 
+
+class PreRendezvousRemovalDataTest(unittest.TestCase):
+    """Records and manifests written before the parallel host was
+    removed still list a `rendezvous` phase; `check` must treat it
+    like any other named phase."""
+
+    # A wwtcmp.hostprof/1 manifest in the older nine-phase layout.
+    OLD_PHASES = ["event_drain", "fiber", "mem", "protocol", "net",
+                  "trace", "audit", "rendezvous", "untracked"]
+
+    def test_check_accepts_rendezvous_phase(self):
+        manifest = {
+            "schema": "wwtcmp.hostprof/1",
+            "threads": 1,
+            "phases": [{"name": n, "sec": 0.5, "ticks": 5, "share": 0.1,
+                        "estimated": False} for n in self.OLD_PHASES],
+        }
+        with tempfile.TemporaryDirectory() as d:
+            mp = os.path.join(d, "hostprof.json")
+            with open(mp, "w") as f:
+                json.dump(manifest, f)
+            old_phases = bt.read_hostprof(mp)
+            self.assertEqual(old_phases["rendezvous"], 0.5)
+            traj = os.path.join(d, "traj.json")
+            with open(traj, "w") as f:
+                json.dump({"schema": 1,
+                           "records": [record(old_phases, ns=100.0)]}, f)
+            new_phases = {n: 0.5 for n in self.OLD_PHASES
+                          if n != "rendezvous"}
+            new_phases["fiber"] = 2.0
+            cp = os.path.join(d, "cand.json")
+            with open(cp, "w") as f:
+                json.dump(record(new_phases, ns=200.0), f)
+            out = subprocess.run(
+                [sys.executable, TOOL, "check", "--trajectory", traj,
+                 "--record", cp],
+                capture_output=True, text=True)
+            # The regression is reported with a phase breakdown, not a
+            # crash on the phase only the baseline has.
+            self.assertNotEqual(out.returncode, 0)
+            self.assertNotIn("Traceback", out.stderr)
+            self.assertIn("top regressing host phase: fiber (+1.500 s)",
+                          out.stdout)
+            self.assertRegex(out.stdout, r"rendezvous\s+0\.500\s+0\.000")
+
 if __name__ == "__main__":
     unittest.main()

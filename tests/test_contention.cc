@@ -69,51 +69,6 @@ TEST(Contention, ConvergingTrafficQueuesAtReceiver)
         EXPECT_GE(arrivals[i], arrivals[i - 1] + 8) << i;
 }
 
-TEST(Contention, DeferredDeliveryReturnsSentinel)
-{
-    // Under the parallel host a fiber-side contended deliver() cannot
-    // know its arrival time (link state updates at the quantum
-    // rendezvous): the contract is an explicit kArrivalDeferred, not
-    // a plausible-looking nominal timestamp.
-    sim::Engine e(2);
-    e.setHostThreads(2);
-    net::Network n(e, 100, 10, /*gap=*/8);
-    std::vector<Cycle> returned;
-    int delivered = 0;
-    e.setBody(0, [&] {
-        sim::Processor& p = e.proc(0);
-        for (int i = 0; i < 3; ++i)
-            returned.push_back(
-                n.deliver(p.now(), 0, 1, [&] { ++delivered; }));
-        p.charge(1);
-    });
-    // Keep the machine alive past the arrival timestamps, or the
-    // deferred deliveries would land after the last quantum.
-    e.setBody(1, [&] { e.proc(1).charge(1000); });
-    e.run();
-    ASSERT_EQ(returned.size(), 3u);
-    for (Cycle a : returned)
-        EXPECT_EQ(a, net::kArrivalDeferred);
-    EXPECT_EQ(delivered, 3); // the deferred packets still arrive
-}
-
-TEST(Contention, SentinelIsNeverAValidArrival)
-{
-    // Immediate paths (no gap, or self-messages) return real
-    // timestamps, which must be distinguishable from the sentinel.
-    sim::Engine e(2);
-    net::Network n(e, 100, 10);
-    e.setBody(0, [&] {
-        sim::Processor& p = e.proc(0);
-        EXPECT_NE(n.deliver(p.now(), 0, 1, [] {}),
-                  net::kArrivalDeferred);
-        EXPECT_NE(n.deliver(p.now(), 0, 0, [] {}),
-                  net::kArrivalDeferred);
-        p.charge(1);
-    });
-    e.run();
-}
-
 TEST(Contention, SlowsBulkTransfersEndToEnd)
 {
     auto elapsed = [](Cycle gap) {

@@ -206,6 +206,36 @@ TEST(CampaignParse, ConfigHashTracksSimulationInputsOnly)
               h1);
 }
 
+TEST(CampaignParse, ConfigHashIsPinned)
+{
+    // Stored records, cache entries and reference files are keyed on
+    // this hash; its value for a fixed scenario must never move.
+    TempDir t;
+    std::string path = writeFile(
+        t.path + "/c.json",
+        campaignDoc(R"({"id": "pin", "app": "em3d", "machine": "sm",
+                        "size": 16, "iters": 2})"));
+    exp::Campaign c = exp::loadCampaign(path, "paper");
+    ASSERT_EQ(c.scenarios.size(), 1u);
+    EXPECT_EQ(c.scenarios[0].configHash(), "099b2c2325d96fbc");
+}
+
+TEST(CampaignParse, HostThreadsKeyIsRejected)
+{
+    TempDir t;
+    std::string path = writeFile(
+        t.path + "/c.json",
+        campaignDoc(R"({"id": "a", "app": "em3d", "host_threads": 1})"));
+    try {
+        exp::loadCampaign(path, "paper");
+        FAIL() << "a campaign setting host_threads must be rejected";
+    } catch (const std::runtime_error& e) {
+        std::string msg = e.what();
+        EXPECT_NE(msg.find("unknown key"), std::string::npos) << msg;
+        EXPECT_NE(msg.find("\"host_threads\""), std::string::npos) << msg;
+    }
+}
+
 // ------------------------------------------------------------------
 // Shape metrics against a real run.
 // ------------------------------------------------------------------

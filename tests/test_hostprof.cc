@@ -4,7 +4,7 @@
  * profiler trustworthy.
  *
  *  1. Phases are exclusive — a nested scope *suspends* its parent, so
- *     no tick is counted twice and per-thread totals equal the
+ *     no tick is counted twice and the totals equal the
  *     measured window (the paper's sums-to-total discipline).
  *  2. The coverage self-audit actually fires: host work outside any
  *     named scope lands in `untracked` and pushes coverage below the
@@ -88,7 +88,7 @@ TEST_F(HostProfFakeClock, NestedScopesAreExclusive)
     EXPECT_EQ(r.threads, 1u);
     EXPECT_DOUBLE_EQ(r.coverage, 22.0 / 25.0);
 
-    // Per-thread accumulators sum exactly to the measured window.
+    // The accumulators sum exactly to the measured window.
     std::uint64_t sum = 0;
     for (const prof::PhaseTotal& pt : r.phase)
         sum += pt.ticks;
@@ -247,15 +247,13 @@ TEST_F(HostProfFakeClock, DisabledScopesAreNoOps)
 // ----------------------------------------------------------------
 
 exp::LaunchSpec
-smallSpec(const std::string& app, const std::string& machine,
-          std::size_t host_threads = 1)
+smallSpec(const std::string& app, const std::string& machine)
 {
     exp::LaunchSpec spec;
     spec.app = app;
     spec.machine = machine;
     spec.cfg = core::MachineConfig::cm5Like();
     spec.cfg.nprocs = 4;
-    spec.cfg.hostThreads = host_threads;
     // lcp iterates to convergence, which tiny systems never reach;
     // 256 is the size its own unit tests call "tiny".
     spec.req.size = app == "lcp" ? 256 : 16;
@@ -279,32 +277,29 @@ manifestPhaseNames(const std::string& manifest)
     return names;
 }
 
-TEST(HostProfEngine, ManifestStructureIsStableAcrossHostThreads)
+TEST(HostProfEngine, ManifestStructureIsStable)
 {
-    std::string manifests[2];
-    std::size_t threads[2] = {0, 0};
-    const std::size_t host_threads[2] = {1, 3};
-    for (int i = 0; i < 2; ++i) {
-        prof::resetForTest();
-        prof::enable();
-        exp::launch(smallSpec("em3d", "sm", host_threads[i]));
-        prof::Report r = prof::snapshot();
-        threads[i] = r.threads;
-        std::ostringstream os;
-        prof::writeManifest(os, r);
-        manifests[i] = os.str();
-        prof::resetForTest();
+    prof::resetForTest();
+    prof::enable();
+    exp::launch(smallSpec("em3d", "sm"));
+    prof::Report r = prof::snapshot();
+    std::ostringstream os;
+    prof::writeManifest(os, r);
+    prof::resetForTest();
+    // Same schema, every phase once, in enum order.
+    const std::string manifest = os.str();
+    EXPECT_NE(manifest.find("\"schema\": \"wwtcmp.hostprof/1\""),
+              std::string::npos);
+    EXPECT_NE(manifest.find("\"thread_sec\""), std::string::npos);
+    EXPECT_EQ(r.threads, 1u);
+    std::vector<std::string> names = manifestPhaseNames(manifest);
+    ASSERT_EQ(names.size(), prof::kNumPhases);
+    for (std::size_t i = 1; i < prof::kNumPhases; ++i) {
+        EXPECT_EQ(names[i - 1],
+                  prof::phaseName(static_cast<prof::Phase>(i)));
     }
-    // Same schema, same phases, same order — the merge is a function
-    // of the accumulators, not of thread scheduling.
-    std::vector<std::string> n1 = manifestPhaseNames(manifests[0]);
-    EXPECT_EQ(n1, manifestPhaseNames(manifests[1]));
-    ASSERT_EQ(n1.size(), prof::kNumPhases);
-    EXPECT_EQ(n1.front(), "event_drain");
-    EXPECT_EQ(n1.back(), "untracked"); // the remainder, last
-    // The parallel run merged the worker shards, not just main.
-    EXPECT_EQ(threads[0], 1u);
-    EXPECT_GT(threads[1], 1u);
+    EXPECT_EQ(names.front(), "event_drain");
+    EXPECT_EQ(names.back(), "untracked"); // the remainder, last
 }
 
 TEST(HostProfEngine, EngineRunsHitTheNamedPhases)
