@@ -114,8 +114,13 @@ struct DirView {
         double w;
     };
 
+    const std::vector<Em3dEdge>& edges;
     std::size_t P, n;
-    /** send[p][q]: source indices p streams to q, in edge order. */
+    /**
+     * send[p][q]: indices into @c edges of the remote edges p streams
+     * to q, in edge order (closure edges, appended last by
+     * Em3dGraph::make, included).
+     */
     std::vector<std::vector<std::vector<std::uint32_t>>> send;
     /** in[q][ti]: in-edges of node ti on q, canonical order. */
     std::vector<std::vector<std::vector<InEdge>>> in;
@@ -124,11 +129,12 @@ struct DirView {
     std::vector<std::size_t> ghostTotal;
     std::vector<std::size_t> inTotal;
 
-    DirView(const std::vector<Em3dEdge>& edges, std::size_t nprocs,
+    DirView(const std::vector<Em3dEdge>& dirEdges, std::size_t nprocs,
             std::size_t nnodes)
-        : P(nprocs), n(nnodes), send(P), in(P), ghostBase(P),
-          ghostTotal(P, 0), inTotal(P, 0)
+        : edges(dirEdges), P(nprocs), n(nnodes), send(P), in(P),
+          ghostBase(P), ghostTotal(P, 0), inTotal(P, 0)
     {
+        assert(edges.size() <= UINT32_MAX && "edge index must fit u32");
         for (auto& s : send)
             s.assign(P, {});
         for (auto& i : in)
@@ -137,7 +143,8 @@ struct DirView {
         for (auto& c : cnt)
             c.assign(P, 0);
 
-        for (const auto& e : edges) {
+        for (std::size_t ix = 0; ix < edges.size(); ++ix) {
+            const Em3dEdge& e = edges[ix];
             InEdge ie;
             ie.remote = e.sp != e.tp;
             ie.p = e.sp;
@@ -146,7 +153,8 @@ struct DirView {
             ie.ord = 0;
             if (ie.remote) {
                 ie.ord = static_cast<std::uint32_t>(cnt[e.tp][e.sp]++);
-                send[e.sp][e.tp].push_back(e.si);
+                send[e.sp][e.tp].push_back(
+                    static_cast<std::uint32_t>(ix));
             }
             in[e.tp][e.ti].push_back(ie);
             inTotal[e.tp]++;
@@ -253,19 +261,14 @@ runEm3dMp(mp::MpMachine& m, const Em3dParams& p)
                     w, static_cast<std::uint32_t>(
                            dv->send[me][q].size()));
                 w += 8;
-                std::size_t k = 0;
-                for (const auto& e :
-                     (dv == &dvE ? g.hToE : g.eToH)) {
-                    if (e.sp != me || e.tp != q)
-                        continue;
+                for (std::uint32_t ix : dv->send[me][q]) {
+                    const Em3dEdge& e = dv->edges[ix];
                     mem.write<std::uint32_t>(w, e.ti);
                     mem.poke<std::uint32_t>(w + 4, e.si);
                     mem.write<double>(w + 8, e.w);
                     nd.charge(p.initEdgeCycles);
                     w += 16;
-                    ++k;
                 }
-                (void)k;
             }
             nd.cmmd.send(q, 1, sbuf, bytes);
         }
@@ -283,7 +286,7 @@ runEm3dMp(mp::MpMachine& m, const Em3dParams& p)
             Addr off = isE ? offE : offH;
             Addr ghost = isE ? ghostE : ghostH;
             Addr srcVals = isE ? hVal : eVal;
-            const auto& edges = isE ? g.hToE : g.eToH;
+            const auto& edges = dv->edges;
 
             std::vector<std::uint32_t> deg(n, 0);
             // Local edges.
@@ -390,8 +393,8 @@ runEm3dMp(mp::MpMachine& m, const Em3dParams& p)
                     continue;
                 const auto& list = dv.send[me][q];
                 for (std::size_t k = 0; k < list.size(); ++k) {
-                    double v =
-                        mem.read<double>(srcVals + list[k] * 8);
+                    double v = mem.read<double>(
+                        srcVals + dv.edges[list[k]].si * 8);
                     mem.write<double>(staging + k * 8, v);
                 }
                 nd.charge(2 * list.size());
@@ -579,8 +582,8 @@ runEm3dSm(sm::SmMachine& m, const Em3dParams& p)
                     if (q == me || dv.send[me][q].empty())
                         continue;
                     std::vector<Addr> blocks;
-                    for (std::uint32_t si : dv.send[me][q])
-                        blocks.push_back((base + si * 8) /
+                    for (std::uint32_t ix : dv.send[me][q])
+                        blocks.push_back((base + dv.edges[ix].si * 8) /
                                          kBlockBytes);
                     std::sort(blocks.begin(), blocks.end());
                     blocks.erase(

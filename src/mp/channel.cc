@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <stdexcept>
+#include <string>
 
 namespace wwt::mp
 {
@@ -28,11 +29,22 @@ ChannelMgr::openStatic(std::uint32_t chan, Addr dst,
     ep.isStatic = true;
 }
 
+ChannelMgr::Endpoint&
+ChannelMgr::endpoint(std::uint32_t chan, const char* op)
+{
+    if (Endpoint* ep = eps_.find(chan))
+        return *ep;
+    throw std::logic_error(
+        std::string(op) + " on node " + std::to_string(p_.id()) +
+        ": channel " + std::to_string(chan) +
+        " was never opened (openStatic) or armed (armRecv)");
+}
+
 std::uint64_t
 ChannelMgr::epochsDone(std::uint32_t chan)
 {
     p_.advance(sim::CostKind::Comp, 2); // counter read
-    Endpoint& ep = eps_[chan];
+    Endpoint& ep = endpoint(chan, "epochsDone");
     assert(ep.isStatic);
     return ep.got / ep.epochBytes;
 }
@@ -42,7 +54,7 @@ ChannelMgr::waitEpochs(std::uint32_t chan, std::uint64_t epochs)
 {
     sim::AttrScope lib(p_, stats::libAttribution());
     am_.pollUntil([this, chan, epochs] {
-        Endpoint& ep = eps_[chan];
+        const Endpoint& ep = endpoint(chan, "waitEpochs");
         return ep.got >= epochs * ep.epochBytes;
     });
 }
@@ -64,7 +76,7 @@ bool
 ChannelMgr::recvDone(std::uint32_t chan)
 {
     p_.advance(sim::CostKind::Comp, 2); // counter read
-    Endpoint& ep = eps_[chan];
+    const Endpoint& ep = endpoint(chan, "recvDone");
     return ep.got >= ep.expect;
 }
 
@@ -73,7 +85,7 @@ ChannelMgr::waitRecv(std::uint32_t chan)
 {
     sim::AttrScope lib(p_, stats::libAttribution());
     am_.pollUntil([this, chan] {
-        Endpoint& ep = eps_[chan];
+        const Endpoint& ep = endpoint(chan, "waitRecv");
         return ep.got >= ep.expect;
     });
 }
@@ -114,7 +126,7 @@ ChannelMgr::onData(NodeId, const AmArgs& args)
 {
     std::uint32_t chan = args[0] >> 16;
     std::uint32_t idx = args[0] & 0xffff;
-    Endpoint& ep = eps_[chan];
+    Endpoint& ep = endpoint(chan, "channel data arrived");
 
     std::size_t take;
     if (ep.isStatic) {

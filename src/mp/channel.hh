@@ -23,14 +23,22 @@
  *    that releases the sender (e.g. before contributing to the
  *    reduction whose completion triggers the broadcast), which every
  *    well-formed CMMD program guarantees.
+ *
+ * Only openStatic() and armRecv() create endpoints. Waiting on,
+ * polling, or receiving data for a channel that was never opened or
+ * armed throws std::logic_error naming the node and the channel,
+ * instead of silently "completing" against an empty endpoint. Because
+ * no lookup on the data path inserts, the endpoint table cannot rehash
+ * under a data-packet handler, so the endpoint reference onData()
+ * holds across advance() cannot be invalidated.
  */
 
 #include <cstdint>
-#include <unordered_map>
 
 #include "core/config.hh"
 #include "mp/am.hh"
 #include "mp/mp_memory.hh"
+#include "sim/flat_map.hh"
 
 namespace wwt::mp
 {
@@ -94,12 +102,15 @@ class ChannelMgr
 
     void onData(NodeId src, const AmArgs& args);
 
+    /** The endpoint for @p chan; throws if it was never created. */
+    Endpoint& endpoint(std::uint32_t chan, const char* op);
+
     sim::Processor& p_;
     ActiveMessages& am_;
     MpMemory& mem_;
     const core::MachineConfig& cfg_;
     std::uint32_t dataHandler_;
-    std::unordered_map<std::uint32_t, Endpoint> eps_;
+    sim::FlatMap<Endpoint> eps_{1};
     std::uint64_t writesIssued_ = 0;
 };
 

@@ -43,9 +43,15 @@ template <typename V>
 class FlatMap
 {
   public:
+    /**
+     * @param initial_slots capacity to start with, rounded up to a
+     * power of two. Tables that usually hold a few keys and exist once
+     * per simulated node (channel endpoints) start at 1 so machine
+     * construction does not allocate slots nobody uses.
+     */
     explicit FlatMap(std::size_t initial_slots = 16)
     {
-        std::size_t n = 16;
+        std::size_t n = 1;
         while (n < initial_slots)
             n <<= 1;
         rebuild(n);

@@ -10,6 +10,7 @@
 
 #include "apps/em3d.hh"
 #include "core/report.hh"
+#include "stats/proc_stats.hh"
 
 using namespace wwt;
 using namespace wwt::apps;
@@ -186,4 +187,108 @@ TEST(Em3d, LocalAllocationHelpsSm)
     EXPECT_LT(rep_lo.counts(1).sharedMissRemote,
               rep_rr.counts(1).sharedMissRemote / 2);
     EXPECT_LT(m2.engine().elapsed(), m1.engine().elapsed());
+}
+
+namespace
+{
+
+/**
+ * Small EM3D run whose simulated statistics are pinned to literals.
+ * Sparse cross traffic makes Em3dGraph::make append channel-safety
+ * closure edges after the generated ones, so any change to the order
+ * in which a processor's remote edges are marshalled or gathered
+ * (e.g. assuming each producer's edges form one contiguous range)
+ * moves a cycle or byte count below.
+ */
+Em3dParams
+pinnedParams()
+{
+    Em3dParams p;
+    p.nodesPerProc = 48;
+    p.degree = 4;
+    p.pctRemote = 2;
+    p.iters = 3;
+    p.seed = 42;
+    return p;
+}
+
+void
+expectClosureEdges(const Em3dParams& p, std::size_t nprocs)
+{
+    Em3dGraph g = Em3dGraph::make(p, nprocs);
+    ASSERT_GT(g.eToH.size() + g.hToE.size(),
+              2 * nprocs * p.nodesPerProc * p.degree);
+}
+
+/** Pinned whole-run statistics, summed over every processor. */
+struct Pinned {
+    Cycle elapsed;
+    std::uint64_t packetsSent, bytesData, privAccesses, privMisses;
+    stats::CategoryCycles cycles;
+};
+
+stats::PhaseStats
+expectPinned(const sim::Engine& e, const Pinned& want)
+{
+    stats::PhaseStats t;
+    for (NodeId id = 0; id < e.numProcs(); ++id)
+        t += e.proc(id).stats().total();
+    EXPECT_EQ(e.elapsed(), want.elapsed);
+    EXPECT_EQ(t.counts.packetsSent, want.packetsSent);
+    EXPECT_EQ(t.counts.bytesData, want.bytesData);
+    EXPECT_EQ(t.counts.privAccesses, want.privAccesses);
+    EXPECT_EQ(t.counts.privMisses, want.privMisses);
+    for (std::size_t c = 0; c < stats::kNumCategories; ++c)
+        EXPECT_EQ(t.cycles[c], want.cycles[c]) << "category " << c;
+    return t;
+}
+
+} // namespace
+
+TEST(Em3d, MpStatsArePinned)
+{
+    Em3dParams p = pinnedParams();
+    expectClosureEdges(p, 4);
+    mp::MpMachine m(cfg(4));
+    runEm3dMp(m, p);
+    expectPinned(m.engine(),
+                 {148782, 110, 1352, 23743, 986,
+                  {549221, 19992, 16356, 714, 4480, 4077, 0, 0, 288}});
+}
+
+TEST(Em3d, SmStatsArePinned)
+{
+    // Both sharing modes: the bulk-update build walks the same
+    // per-consumer edge lists as the MP gather.
+    struct Case {
+        bool bulk;
+        Pinned want;
+        std::uint64_t sharedAccesses, sharedMissRemote, protoMsgs,
+            lockAcquires;
+    };
+    const Case cases[] = {
+        {false,
+         {304713, 0, 47616, 0, 0,
+          {550282, 0, 0, 0, 0, 121722, 299353, 64555, 972, 0, 0,
+           181968}},
+         52048, 1114, 3620, 3074},
+        {true,
+         {289299, 0, 47360, 0, 0,
+          {550282, 0, 0, 0, 624, 100323, 276292, 46735, 972, 0, 0,
+           181968}},
+         52048, 1073, 3382, 3074},
+    };
+    Em3dParams p = pinnedParams();
+    expectClosureEdges(p, 4);
+    for (const Case& c : cases) {
+        SCOPED_TRACE(c.bulk ? "bulk update" : "invalidate");
+        p.smBulkUpdate = c.bulk;
+        sm::SmMachine m(cfg(4));
+        runEm3dSm(m, p);
+        stats::PhaseStats t = expectPinned(m.engine(), c.want);
+        EXPECT_EQ(t.counts.sharedAccesses, c.sharedAccesses);
+        EXPECT_EQ(t.counts.sharedMissRemote, c.sharedMissRemote);
+        EXPECT_EQ(t.counts.protoMsgs, c.protoMsgs);
+        EXPECT_EQ(t.counts.lockAcquires, c.lockAcquires);
+    }
 }

@@ -230,37 +230,43 @@ TEST(EventQueueArena, HeavyChurnKeepsTotalOrder)
 
 TEST(FlatMapTables, FlatMapMatchesReferenceUnderChurn)
 {
-    sim::FlatMap<std::uint64_t> m;
-    std::unordered_map<std::uint64_t, std::uint64_t> ref;
-    std::mt19937_64 rng(99);
-    for (int op = 0; op < 20000; ++op) {
-        std::uint64_t key = rng() % 512; // force collisions + reuse
-        switch (rng() % 3) {
-          case 0:
-            m[key] = op;
-            ref[key] = static_cast<std::uint64_t>(op);
-            break;
-          case 1:
-            EXPECT_EQ(m.erase(key), ref.erase(key) == 1) << "key " << key;
-            break;
-          default: {
-            const std::uint64_t* v = m.find(key);
-            auto it = ref.find(key);
-            ASSERT_EQ(v != nullptr, it != ref.end()) << "key " << key;
-            if (v != nullptr)
-                EXPECT_EQ(*v, it->second);
-          }
+    // Default capacity, and growth from one slot (the size the
+    // per-node channel-endpoint tables start at).
+    for (std::size_t slots : {std::size_t{16}, std::size_t{1}}) {
+        SCOPED_TRACE(slots);
+        sim::FlatMap<std::uint64_t> m(slots);
+        std::unordered_map<std::uint64_t, std::uint64_t> ref;
+        std::mt19937_64 rng(99);
+        for (int op = 0; op < 20000; ++op) {
+            std::uint64_t key = rng() % 512; // force collisions + reuse
+            switch (rng() % 3) {
+              case 0:
+                m[key] = op;
+                ref[key] = static_cast<std::uint64_t>(op);
+                break;
+              case 1:
+                EXPECT_EQ(m.erase(key), ref.erase(key) == 1)
+                    << "key " << key;
+                break;
+              default: {
+                const std::uint64_t* v = m.find(key);
+                auto it = ref.find(key);
+                ASSERT_EQ(v != nullptr, it != ref.end()) << "key " << key;
+                if (v != nullptr)
+                    EXPECT_EQ(*v, it->second);
+              }
+            }
         }
+        EXPECT_EQ(m.size(), ref.size());
+        std::size_t visited = 0;
+        m.forEach([&](std::uint64_t k, const std::uint64_t& v) {
+            ++visited;
+            auto it = ref.find(k);
+            ASSERT_NE(it, ref.end());
+            EXPECT_EQ(v, it->second);
+        });
+        EXPECT_EQ(visited, ref.size());
     }
-    EXPECT_EQ(m.size(), ref.size());
-    std::size_t visited = 0;
-    m.forEach([&](std::uint64_t k, const std::uint64_t& v) {
-        ++visited;
-        auto it = ref.find(k);
-        ASSERT_NE(it, ref.end());
-        EXPECT_EQ(v, it->second);
-    });
-    EXPECT_EQ(visited, ref.size());
 }
 
 TEST(FlatMapTables, FlatMapAoSMatchesReferenceAcrossGrowth)

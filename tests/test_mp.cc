@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "core/config.hh"
 #include "mp/mp_machine.hh"
 
@@ -229,4 +232,49 @@ TEST(MpMachine, LibraryTimeIsAttributedToLib)
         EXPECT_GT(get(stats::Category::NetAccess), 0u) << i;
         EXPECT_EQ(get(stats::Category::Computation), 0u) << i;
     }
+}
+
+TEST(Mp, WaitOnUnopenedChannelThrows)
+{
+    // A wait on a channel nobody opened must fail loudly: an empty
+    // endpoint (0 of 0 bytes expected) would "complete" at once.
+    MpMachine m(smallCfg(2));
+    ChannelMgr& chans = m.node(1).chans;
+    auto expectNamed = [](auto&& call, const char* op) {
+        try {
+            call();
+            ADD_FAILURE() << op << " on an unopened channel returned";
+        } catch (const std::logic_error& e) {
+            std::string what = e.what();
+            EXPECT_NE(what.find(op), std::string::npos) << what;
+            EXPECT_NE(what.find("node 1"), std::string::npos) << what;
+            EXPECT_NE(what.find("channel 42"), std::string::npos) << what;
+        }
+    };
+    expectNamed([&] { chans.waitEpochs(42, 1); }, "waitEpochs");
+    expectNamed([&] { chans.waitRecv(42); }, "waitRecv");
+
+    // Opening one channel does not make another one valid.
+    m.run([&](MpMachine::Node& n) {
+        if (n.id == 1)
+            n.chans.openStatic(9, n.mem.alloc(64), 64);
+    });
+    expectNamed([&] { chans.waitEpochs(42, 1); }, "waitEpochs");
+}
+
+TEST(MpDeathTest, DataOnUnopenedChannelNamesNodeAndChannel)
+{
+    auto body = [] {
+        MpMachine m(smallCfg(2));
+        m.run([&](MpMachine::Node& n) {
+            Addr buf = n.mem.alloc(64);
+            if (n.id == 0) {
+                n.chans.write(1, 77, buf, 64);
+            } else {
+                n.charge(5000); // let the packets arrive
+                n.am.pollAll();
+            }
+        });
+    };
+    EXPECT_DEATH(body(), "channel data arrived on node 1: channel 77");
 }
