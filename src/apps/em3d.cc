@@ -106,57 +106,37 @@ constexpr double kSourceTerm = 0.2;
 
 /** Per-direction host view used to lay out the MP data structures. */
 struct DirView {
-    struct InEdge {
-        bool remote;
-        NodeId p;          ///< producer proc
-        std::uint32_t ord; ///< ordinal within the (q, p) ghost group
-        std::uint32_t si;  ///< source node index (local edges)
-        double w;
-    };
-
     const std::vector<Em3dEdge>& edges;
-    std::size_t P, n;
+    std::size_t P;
     /**
      * send[p][q]: indices into @c edges of the remote edges p streams
      * to q, in edge order (closure edges, appended last by
      * Em3dGraph::make, included).
      */
     std::vector<std::vector<std::vector<std::uint32_t>>> send;
-    /** in[q][ti]: in-edges of node ti on q, canonical order. */
-    std::vector<std::vector<std::vector<InEdge>>> in;
     /** ghostBase[q][p]: first ghost slot of producer p on q. */
     std::vector<std::vector<std::size_t>> ghostBase;
     std::vector<std::size_t> ghostTotal;
     std::vector<std::size_t> inTotal;
 
-    DirView(const std::vector<Em3dEdge>& dirEdges, std::size_t nprocs,
-            std::size_t nnodes)
-        : edges(dirEdges), P(nprocs), n(nnodes), send(P), in(P),
-          ghostBase(P), ghostTotal(P, 0), inTotal(P, 0)
+    DirView(const std::vector<Em3dEdge>& dirEdges, std::size_t nprocs)
+        : edges(dirEdges), P(nprocs), send(P), ghostBase(P),
+          ghostTotal(P, 0), inTotal(P, 0)
     {
         assert(edges.size() <= UINT32_MAX && "edge index must fit u32");
         for (auto& s : send)
             s.assign(P, {});
-        for (auto& i : in)
-            i.assign(n, {});
         std::vector<std::vector<std::size_t>> cnt(P);
         for (auto& c : cnt)
             c.assign(P, 0);
 
         for (std::size_t ix = 0; ix < edges.size(); ++ix) {
             const Em3dEdge& e = edges[ix];
-            InEdge ie;
-            ie.remote = e.sp != e.tp;
-            ie.p = e.sp;
-            ie.si = e.si;
-            ie.w = e.w;
-            ie.ord = 0;
-            if (ie.remote) {
-                ie.ord = static_cast<std::uint32_t>(cnt[e.tp][e.sp]++);
+            if (e.sp != e.tp) {
+                cnt[e.tp][e.sp]++;
                 send[e.sp][e.tp].push_back(
                     static_cast<std::uint32_t>(ix));
             }
-            in[e.tp][e.ti].push_back(ie);
             inTotal[e.tp]++;
         }
         for (std::size_t q = 0; q < P; ++q) {
@@ -195,8 +175,8 @@ runEm3dMp(mp::MpMachine& m, const Em3dParams& p)
     const std::size_t P = m.nprocs();
     const std::size_t n = p.nodesPerProc;
     Em3dGraph g = Em3dGraph::make(p, P);
-    DirView dvE(g.hToE, P, n); // feeds E updates (H sources)
-    DirView dvH(g.eToH, P, n); // feeds H updates (E sources)
+    DirView dvE(g.hToE, P); // feeds E updates (H sources)
+    DirView dvH(g.eToH, P); // feeds H updates (E sources)
 
     Em3dResult res;
     res.eVals.assign(P * n, 0.0);
@@ -451,8 +431,8 @@ runEm3dSm(sm::SmMachine& m, const Em3dParams& p)
     const std::size_t P = m.nprocs();
     const std::size_t n = p.nodesPerProc;
     Em3dGraph g = Em3dGraph::make(p, P);
-    DirView dvE(g.hToE, P, n);
-    DirView dvH(g.eToH, P, n);
+    DirView dvE(g.hToE, P);
+    DirView dvH(g.eToH, P);
 
     Em3dResult res;
     res.eVals.assign(P * n, 0.0);

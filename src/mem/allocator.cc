@@ -30,7 +30,7 @@ BumpAllocator::alloc(std::size_t bytes, std::size_t align)
 SharedAllocator::SharedAllocator(Addr base, Addr size, std::size_t nprocs,
                                  AllocPolicy policy)
     : base_(base), limit_(base + size), next_(base), nprocs_(nprocs),
-      policy_(policy)
+      policy_(policy), basePage_(base >> 12)
 {
     if (nprocs == 0)
         throw std::invalid_argument("SharedAllocator needs nodes");
@@ -45,8 +45,8 @@ SharedAllocator::allocHomed(std::size_t bytes, std::size_t align,
         // Never share a page between nodes under local homing: a page
         // already homed elsewhere would defeat the policy.
         Addr page = a >> 12;
-        const NodeId* h = home_.find(page);
-        if (h != nullptr && *h != node)
+        std::size_t i = static_cast<std::size_t>(page - basePage_);
+        if (i < home_.size() && home_[i] != kNoHome && home_[i] != node)
             a = alignUp((page + 1) << 12, align);
     }
     if (a + bytes > limit_)
@@ -55,6 +55,9 @@ SharedAllocator::allocHomed(std::size_t bytes, std::size_t align,
 
     Addr first_page = a >> 12;
     Addr last_page = (a + bytes - 1) >> 12;
+    std::size_t need = static_cast<std::size_t>(last_page - basePage_) + 1;
+    if (last_page >= first_page && home_.size() < need)
+        home_.resize(need, kNoHome);
     for (Addr p = first_page; p <= last_page; ++p)
         assignHome(p, node, force_local);
     return a;
@@ -63,12 +66,13 @@ SharedAllocator::allocHomed(std::size_t bytes, std::size_t align,
 void
 SharedAllocator::assignHome(Addr page, NodeId node, bool force_local)
 {
-    if (home_.contains(page))
+    NodeId& h = home_[static_cast<std::size_t>(page - basePage_)];
+    if (h != kNoHome)
         return; // first assignment wins (page straddles allocations)
     if (force_local || policy_ == AllocPolicy::Local) {
-        home_[page] = node;
+        h = node;
     } else {
-        home_[page] = static_cast<NodeId>(rrNext_);
+        h = static_cast<NodeId>(rrNext_);
         rrNext_ = (rrNext_ + 1) % nprocs_;
     }
 }
@@ -89,16 +93,10 @@ SharedAllocator::gallocLocal(std::size_t bytes, NodeId node,
 NodeId
 SharedAllocator::homeOf(Addr a) const
 {
-    Addr page = a >> 12;
-    Memo& m = memo_[page & (kMemoWays - 1)];
-    if (m.page == page)
-        return m.home;
-    const NodeId* h = home_.find(page);
-    if (h == nullptr)
+    std::size_t i = static_cast<std::size_t>((a >> 12) - basePage_);
+    if (a < base_ || i >= home_.size() || home_[i] == kNoHome)
         throw std::logic_error("homeOf() on unallocated shared address");
-    m.page = page;
-    m.home = *h;
-    return *h;
+    return home_[i];
 }
 
 } // namespace wwt::mem

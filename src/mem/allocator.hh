@@ -12,8 +12,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <vector>
 
-#include "sim/flat_map.hh"
 #include "sim/types.hh"
 
 namespace wwt::mem
@@ -79,7 +79,10 @@ class SharedAllocator
     Addr gallocLocal(std::size_t bytes, NodeId node,
                      std::size_t align = 8);
 
-    /** Home node of an allocated shared address. */
+    /**
+     * Home node of an allocated shared address.
+     * @throws std::logic_error if no allocation covers @p a's page.
+     */
     NodeId homeOf(Addr a) const;
 
     AllocPolicy policy() const { return policy_; }
@@ -95,16 +98,17 @@ class SharedAllocator
     std::size_t nprocs_;
     AllocPolicy policy_;
     std::size_t rrNext_ = 0;
-    sim::FlatMap<NodeId> home_; // page number -> home
+    /** home_ value of a page no allocation covers. */
+    static constexpr NodeId kNoHome = ~NodeId{0};
 
-    /** One remembered homeOf() answer; a page's home never changes
-     *  once assigned, so the memo never goes stale. */
-    struct Memo {
-        Addr page = ~Addr{0};
-        NodeId home = 0;
-    };
-    static constexpr std::size_t kMemoWays = 256;
-    mutable Memo memo_[kMemoWays]{};
+    /**
+     * Home of every page from the region's first, indexed by page
+     * number minus basePage_; kNoHome for pages alignment skipped.
+     * Grows with the bump pointer, so its size ends at the last
+     * allocated page.
+     */
+    std::vector<NodeId> home_;
+    Addr basePage_;
 };
 
 } // namespace wwt::mem

@@ -4,13 +4,16 @@
  * @file
  * An open-addressed hash table for the simulator's hot lookups.
  *
- * The directory protocol, the backing store's chunk map, the TLB's
- * page set and the shared allocator's page-home table all key on a
- * 64-bit address and sit on the per-access path. std::unordered_map
- * pays a heap node and a pointer chase per entry; FlatMap keeps keys
- * in one contiguous array (probing touches only the key array, not
- * the values) with linear probing over a power-of-two capacity, so
- * the common hit is one cache line of keys.
+ * The backing store's chunk map, the TLB's page set and the
+ * directory protocol's in-flight transactions key on a 64-bit address
+ * and sit on the per-access path; the per-node channel endpoints key
+ * on a channel id. std::unordered_map pays a heap node and a pointer
+ * chase per entry; FlatMap keeps keys in one contiguous array
+ * (probing touches only the key array, not the values) with linear
+ * probing over a power-of-two capacity, so the common hit is one
+ * cache line of keys. (The directory itself and the shared
+ * allocator's page homes are dense arrays indexed by offset into the
+ * shared segment, not hash tables.)
  *
  * Semantics, chosen for the call sites above:
  *  - keys are std::uint64_t; values need only be default-constructible
@@ -21,13 +24,11 @@
  *  - references returned by operator[]/find() are invalidated by any
  *    later insertion (the table may rehash) — unlike unordered_map.
  *    Callers that hold a value reference must not insert new keys
- *    while it is live; the directory protocol re-looks-up per event
- *    for exactly this reason.
+ *    while it is live.
  *
  * Iteration (forEach) visits entries in table order, which depends on
- * the hash — callers that need deterministic output (the protocol
- * audit, snapshots) must sort what they collect, as they already did
- * for unordered_map.
+ * the hash — callers that need deterministic output must sort what
+ * they collect, as they would for unordered_map.
  */
 
 #include <algorithm>
@@ -209,132 +210,6 @@ class FlatMap
     std::vector<std::uint64_t> keys_;
     std::vector<V> values_;
     std::vector<std::uint8_t> state_;
-    std::size_t mask_ = 0;
-    std::size_t size_ = 0;
-};
-
-/**
- * Array-of-structs sibling of FlatMap for tables whose value is a
- * few dozen bytes, probed once per simulated event, and far larger
- * than any host cache (the directory: one entry per shared block
- * ever touched). FlatMap's separate key/value arrays cost a *second*
- * cache miss per hit to reach the value; here key and value share a
- * slot, so the common exact-home hit is one cache line total.
- *
- * Trade-offs versus FlatMap:
- *  - no erase(): backward-shift deletion would move whole slots
- *    around; use it only for grow-only tables;
- *  - the key 2^64-1 is reserved as the empty marker (block addresses
- *    and similar keys never reach it);
- *  - same reference contract: operator[] on an existing key never
- *    rehashes, any new-key insertion may.
- */
-template <typename V>
-class FlatMapAoS
-{
-  public:
-    explicit FlatMapAoS(std::size_t initial_slots = 16)
-    {
-        std::size_t n = 16;
-        while (n < initial_slots)
-            n <<= 1;
-        slots_.resize(n);
-        mask_ = n - 1;
-    }
-
-    std::size_t size() const { return size_; }
-    bool empty() const { return size_ == 0; }
-
-    V&
-    operator[](std::uint64_t key)
-    {
-        std::size_t i = probe(key);
-        if (slots_[i].key == kEmpty) {
-            // Lower load ceiling than FlatMap (1/2 vs 7/10): these
-            // tables are far larger than the host caches, so every
-            // extra probe step is a DRAM access; trading memory for
-            // near-1 probe lengths is the right side of the bargain.
-            if ((size_ + 1) * 2 > mask_ + 1) {
-                rebuild((mask_ + 1) * 2);
-                i = probe(key);
-            }
-            slots_[i].key = key;
-            ++size_;
-        }
-        return slots_[i].value;
-    }
-
-    V*
-    find(std::uint64_t key)
-    {
-        std::size_t i = probe(key);
-        return slots_[i].key != kEmpty ? &slots_[i].value : nullptr;
-    }
-
-    const V*
-    find(std::uint64_t key) const
-    {
-        std::size_t i = const_cast<FlatMapAoS*>(this)->probe(key);
-        return slots_[i].key != kEmpty ? &slots_[i].value : nullptr;
-    }
-
-    bool contains(std::uint64_t key) const { return find(key) != nullptr; }
-
-    /** Visit every (key, value) pair in unspecified table order. */
-    template <typename Fn>
-    void
-    forEach(Fn&& fn) const
-    {
-        for (const Slot& s : slots_)
-            if (s.key != kEmpty)
-                fn(s.key, s.value);
-    }
-
-  private:
-    static constexpr std::uint64_t kEmpty = ~std::uint64_t{0};
-
-    struct Slot {
-        std::uint64_t key = kEmpty;
-        V value{};
-    };
-
-    static std::size_t
-    mix(std::uint64_t x)
-    {
-        x ^= x >> 30;
-        x *= 0xbf58476d1ce4e5b9ULL;
-        x ^= x >> 27;
-        x *= 0x94d049bb133111ebULL;
-        x ^= x >> 31;
-        return static_cast<std::size_t>(x);
-    }
-
-    std::size_t
-    probe(std::uint64_t key) const
-    {
-        std::size_t i = mix(key) & mask_;
-        while (slots_[i].key != kEmpty && slots_[i].key != key)
-            i = (i + 1) & mask_;
-        return i;
-    }
-
-    void
-    rebuild(std::size_t n)
-    {
-        std::vector<Slot> old = std::move(slots_);
-        slots_.clear();
-        slots_.resize(n);
-        mask_ = n - 1;
-        for (Slot& s : old) {
-            if (s.key == kEmpty)
-                continue;
-            std::size_t j = probe(s.key);
-            slots_[j].key = s.key;
-            slots_[j].value = std::move(s.value);
-        }
-    }
-
-    std::vector<Slot> slots_;
     std::size_t mask_ = 0;
     std::size_t size_ = 0;
 };

@@ -124,7 +124,7 @@ DirProtocol::replacementHint(sim::Processor& req, Addr block_addr)
     countMsg(from, home, false);
     Cycle at = req.now() + net_.latency(from, home);
     scheduleProto(at, [this, home, block, from, at] {
-        DirEntry& e = dir_[block];
+        DirEntry& e = entry(block);
         Cycle start = std::max(at, dirBusy_[home]);
         dirBusy_[home] = start + cfg_.dirBase;
         if (!e.busy && e.state == DirState::Shared)
@@ -183,7 +183,7 @@ DirProtocol::pushUpdate(sim::Processor& src, Addr addr,
 void
 DirProtocol::onWriteback(NodeId home, Addr block, NodeId from, Cycle at)
 {
-    DirEntry& e = dir_[block];
+    DirEntry& e = entry(block);
     Cycle start = std::max(at, dirBusy_[home]);
     dirBusy_[home] = start + cfg_.dirBase + cfg_.dirBlockRecv;
     // Only meaningful if the directory still believes 'from' owns the
@@ -201,7 +201,7 @@ DirProtocol::service(NodeId home, Addr block, Req r, Cycle at)
         if (trace::Tracer* tr = engine_.tracer())
             tr->flowStep(home, trace::FlowKind::ProtoTxn, r.traceId, at);
     }
-    DirEntry& e = dir_[block];
+    DirEntry& e = entry(block);
     if (e.busy) {
         pending_[block].q.emplace_back(r, at);
         return;
@@ -338,7 +338,7 @@ DirProtocol::fetchArrive(NodeId owner, Addr block, NodeId home,
 void
 DirProtocol::onFetchReply(NodeId home, Addr block, Cycle at)
 {
-    DirEntry& e = dir_[block];
+    DirEntry& e = entry(block);
     Pending* p = pending_.find(block);
     WWT_AUDIT(e.busy && p != nullptr,
               "fetch reply for an idle directory entry: home "
@@ -385,7 +385,7 @@ DirProtocol::invalArrive(NodeId sharer, Addr block, NodeId home, Cycle at)
 void
 DirProtocol::onAck(NodeId home, Addr block, Cycle at)
 {
-    DirEntry& e = dir_[block];
+    DirEntry& e = entry(block);
     Pending* p = pending_.find(block);
     WWT_AUDIT(e.busy && p != nullptr && p->txn.pendingAcks > 0,
               "stray invalidation ack: home "
@@ -464,11 +464,21 @@ DirProtocol::drainQueue(NodeId home, Addr block, DirEntry& e, Pending* p,
     service(home, block, r, std::max(at, arrived));
 }
 
+const DirProtocol::DirEntry*
+DirProtocol::findEntry(Addr block) const
+{
+    std::size_t i = blockIndex(block);
+    std::size_t c = i / kChunkBlocks;
+    if (c >= dir_.size() || !dir_[c])
+        return nullptr;
+    return &dir_[c][i % kChunkBlocks];
+}
+
 void
 DirProtocol::auditConsistency() const
 {
     pending_.forEach([&](Addr block, const Pending& p) {
-        const DirEntry* e = dir_.find(block);
+        const DirEntry* e = findEntry(block);
         WWT_AUDIT(e != nullptr && !e->busy,
                   "busy directory entry outlived its transaction: home "
                       << homeOf(block) << " block 0x" << std::hex << block
@@ -479,12 +489,26 @@ DirProtocol::auditConsistency() const
                       << homeOf(block) << " block 0x" << std::hex << block
                       << std::dec << " queued " << p.q.size());
     });
-    // Single-writer: at most one cache may hold any block writable
-    // (Exclusive line state, or dirty data), and it must be the
-    // recorded owner. Shared clean copies in other caches are legal
-    // (stale sharers, pushUpdate snapshots). One pass over the caches'
-    // line arrays gathers every writable holder, instead of probing
-    // all caches for each of the (far more numerous) tracked blocks.
+    for (std::size_t c = 0; c < dir_.size(); ++c) {
+        if (!dir_[c])
+            continue;
+        for (std::size_t k = 0; k < kChunkBlocks; ++k) {
+            Addr block = mem::AddressMap::kSharedBase +
+                         (c * kChunkBlocks + k) * kBlockBytes;
+            WWT_AUDIT(!dir_[c][k].busy,
+                      "busy directory entry outlived its transaction: "
+                      "home " << homeOf(block) << " block 0x" << std::hex
+                              << block << std::dec);
+        }
+    }
+
+    // Single-writer: at most one cache may hold any shared block
+    // writable (Exclusive line state, or dirty data), and it must be
+    // the recorded owner. Shared clean copies in other caches are
+    // legal (stale sharers, pushUpdate snapshots). One pass over the
+    // caches' line arrays gathers every writable holder; each is then
+    // checked against its entry, an untouched block reading as
+    // Uncached.
     struct Writable {
         std::uint32_t writers = 0;
         NodeId writer = 0;
@@ -492,37 +516,32 @@ DirProtocol::auditConsistency() const
     sim::FlatMap<Writable> writable;
     for (std::size_t n = 0; n < caches_.size(); ++n) {
         caches_[n]->forEachValid([&](const mem::Line& line) {
-            if (line.dirty || line.state == mem::LineState::Exclusive) {
-                Writable& w = writable[caches_[n]->addrOf(line.block)];
+            Addr block = caches_[n]->addrOf(line.block);
+            if (mem::AddressMap::isShared(block) &&
+                (line.dirty || line.state == mem::LineState::Exclusive)) {
+                Writable& w = writable[block];
                 w.writers++;
                 w.writer = static_cast<NodeId>(n);
             }
         });
     }
 
-    dir_.forEach([&](Addr block, const DirEntry& e) {
-        WWT_AUDIT(!e.busy,
-                  "busy directory entry outlived its transaction: home "
-                      << homeOf(block) << " block 0x" << std::hex << block
-                      << std::dec);
-
-        const Writable* w = writable.find(block);
-        std::size_t writers = w != nullptr ? w->writers : 0;
-        NodeId writer = w != nullptr ? w->writer : 0;
-        WWT_AUDIT(writers <= 1,
+    const DirEntry untouched{};
+    writable.forEach([&](Addr block, const Writable& w) {
+        WWT_AUDIT(w.writers <= 1,
                   "single-writer violated: block 0x"
                       << std::hex << block << std::dec << " held writable "
-                         "by " << writers << " caches (home "
+                         "by " << w.writers << " caches (home "
                       << homeOf(block) << ")");
-        if (writers == 1) {
-            WWT_AUDIT(e.state == DirState::Exclusive && e.owner == writer,
-                      "directory/cache disagreement: block 0x"
-                          << std::hex << block << std::dec
-                          << " writable in cache " << writer
-                          << " but directory state "
-                          << static_cast<int>(e.state) << " owner "
-                          << e.owner << " (home " << homeOf(block) << ")");
-        }
+        const DirEntry* found = findEntry(block);
+        const DirEntry& e = found != nullptr ? *found : untouched;
+        WWT_AUDIT(e.state == DirState::Exclusive && e.owner == w.writer,
+                  "directory/cache disagreement: block 0x"
+                      << std::hex << block << std::dec
+                      << " writable in cache " << w.writer
+                      << " but directory state "
+                      << static_cast<int>(e.state) << " owner " << e.owner
+                      << " (home " << homeOf(block) << ")");
     });
 }
 
@@ -530,7 +549,7 @@ DirProtocol::DirSnapshot
 DirProtocol::snapshot(Addr block_addr) const
 {
     DirSnapshot s;
-    const DirEntry* entry = dir_.find(blockOf(block_addr));
+    const DirEntry* entry = findEntry(blockOf(block_addr));
     if (entry == nullptr)
         return s;
     const DirEntry& e = *entry;

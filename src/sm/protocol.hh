@@ -27,7 +27,9 @@
  */
 
 #include <bitset>
+#include <cassert>
 #include <cstdint>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -138,12 +140,14 @@ class DirProtocol
     /**
      * Coherence consistency sweep (audit subsystem). Valid whenever no
      * transaction is in flight — a busy entry implies a blocked
-     * requester, so this holds at end-of-run and report time. Checks,
-     * for every directory-tracked block:
+     * requester, so this holds at end-of-run and report time. Checks:
      *  - no busy entry or queued request outlives its transaction;
-     *  - single writer: at most one cache holds the block writable
-     *    (Exclusive line state or dirty), and that cache is the
-     *    directory's recorded owner with the entry in Exclusive state.
+     *  - single writer: at most one cache holds any shared block
+     *    writable (Exclusive line state or dirty), and that cache is
+     *    the directory's recorded owner with the entry in Exclusive
+     *    state. Every writable shared line is checked, including one
+     *    whose block the directory never recorded (which reads as
+     *    Uncached and therefore fails).
      * Non-owner caches may legitimately hold Shared *clean* copies the
      * directory does not list (silent clean evictions leave stale
      * sharer bits; pushUpdate installs snapshots outside the coherence
@@ -153,6 +157,8 @@ class DirProtocol
     void auditConsistency() const;
 
   private:
+    friend struct DirProtocolPeer; // white-box tests of the table
+
     enum class DirState : std::uint8_t { Uncached, Shared, Exclusive };
 
     /** One request travelling through the protocol. */
@@ -177,9 +183,9 @@ class DirProtocol
     /**
      * FIFO of requests waiting on a busy entry. A std::deque here
      * would allocate its map block on *default construction*, which
-     * the directory table pays for every slot on every rehash; this
-     * vector-backed queue allocates nothing until a request actually
-     * queues (rare: only under same-block contention).
+     * pending_ pays for every slot on every rehash; this vector-backed
+     * queue allocates nothing until a request actually queues (rare:
+     * only under same-block contention).
      */
     struct ReqQueue {
         std::vector<std::pair<Req, Cycle>> buf;
@@ -205,11 +211,12 @@ class DirProtocol
 
     /**
      * The per-block directory state, kept deliberately small (24
-     * bytes): the table holds one entry per shared block ever touched
-     * — far beyond any cache level — so every protocol event pays a
-     * memory access per entry touched. Transaction state lives in
-     * pending_, which only holds blocks with an in-flight transaction
-     * (at most one per processor) and therefore stays cache-resident.
+     * bytes): the table holds one entry per shared block of every
+     * touched chunk — far beyond any cache level — so every protocol
+     * event pays a memory access per entry touched. Transaction state
+     * lives in pending_, which only holds blocks with an in-flight
+     * transaction (at most one per processor) and therefore stays
+     * cache-resident.
      */
     struct DirEntry {
         std::bitset<kMaxSmProcs> sharers;
@@ -225,6 +232,37 @@ class DirProtocol
     };
 
     Addr blockOf(Addr a) const { return a & ~(Addr{kBlockBytes} - 1); }
+
+    /** Blocks per directory chunk: 1 KB of shared address space. */
+    static constexpr std::size_t kChunkBlocks = 32;
+
+    /**
+     * The directory entry of shared @p block, created (Uncached) on
+     * first touch by allocating its chunk.
+     */
+    DirEntry&
+    entry(Addr block)
+    {
+        std::size_t i = blockIndex(block);
+        std::size_t c = i / kChunkBlocks;
+        if (c >= dir_.size())
+            dir_.resize(c + 1);
+        std::unique_ptr<DirEntry[]>& chunk = dir_[c];
+        if (!chunk)
+            chunk = std::make_unique<DirEntry[]>(kChunkBlocks);
+        return chunk[i % kChunkBlocks];
+    }
+
+    /** The entry of @p block, or nullptr if its chunk was never touched. */
+    const DirEntry* findEntry(Addr block) const;
+
+    static std::size_t
+    blockIndex(Addr block)
+    {
+        assert(mem::AddressMap::isShared(block));
+        return static_cast<std::size_t>(
+            (block - mem::AddressMap::kSharedBase) / kBlockBytes);
+    }
 
     /**
      * Account a protocol message leaving @p from. Messages to self
@@ -274,15 +312,16 @@ class DirProtocol
     const core::MachineConfig& cfg_;
 
     /**
-     * Directory entries, keyed by block address. Entries are created
-     * on first touch and never erased, so the open-addressed table
-     * needs no tombstones. FlatMap references are invalidated by
-     * insertion of a NEW block (rehash): every event handler re-looks
-     * its entry up on entry and only same-block recursion (grant →
-     * drainQueue → service) runs under a held reference, which cannot
-     * insert.
+     * Directory entries, indexed by block offset into the shared
+     * segment (blockIndex()). The segment is bump-allocated from
+     * AddressMap::kSharedBase, so the index needs no hashing. One
+     * chunk holds kChunkBlocks entries and is allocated on the first
+     * touch of any of its blocks; pages that hold a single
+     * synchronization block (gallocLocal) cost one chunk, not a
+     * page's worth of entries. Chunks never move and are never freed,
+     * so a DirEntry& stays valid across any later insertion.
      */
-    sim::FlatMapAoS<DirEntry> dir_;
+    std::vector<std::unique_ptr<DirEntry[]>> dir_;
     /**
      * Transaction state keyed by block, populated while the block is
      * busy (or has queued requests) and erased when the last waiter

@@ -1,6 +1,5 @@
 #include "svc/lease.hh"
 
-#include <fcntl.h>
 #include <time.h>
 #include <unistd.h>
 
@@ -42,9 +41,9 @@ LeaseDir::read(const std::string& id) const
         return info;
     info.exists = true;
     in >> info.owner >> info.heartbeat;
-    // A torn or empty lease (writer died inside its own write) reads
-    // as heartbeat 0 => maximally stale => claimable. That is the
-    // desired recovery behaviour, so no error path is needed.
+    // Workers only publish complete lines (temp file + link/rename),
+    // so a torn or empty lease comes from outside the protocol; it
+    // reads as heartbeat 0 => maximally stale => claimable.
     return info;
 }
 
@@ -54,24 +53,34 @@ LeaseDir::stale(const Info& info) const
     return !info.exists || now() - info.heartbeat > timeoutSec_;
 }
 
+std::string
+LeaseDir::writeTemp(const std::string& id) const
+{
+    // Temp name carries the owner so two claimants never share a
+    // temp file.
+    std::string tmp = dir_ + "/." + owner_ + "." + id + ".tmp";
+    std::ofstream os(tmp, std::ios::trunc);
+    if (!os)
+        return "";
+    char line[256];
+    std::snprintf(line, sizeof(line), "%s %.6f\n", owner_.c_str(),
+                  now());
+    os << line;
+    if (!os.flush()) {
+        std::remove(tmp.c_str());
+        return "";
+    }
+    return tmp;
+}
+
 bool
 LeaseDir::writeOwned(const std::string& id) const
 {
-    // Temp name carries the owner so two stealers never share a temp
-    // file; rename() replaces atomically, so readers always see a
-    // complete lease line.
-    std::string tmp = dir_ + "/." + owner_ + "." + id + ".tmp";
-    {
-        std::ofstream os(tmp, std::ios::trunc);
-        if (!os)
-            return false;
-        char line[256];
-        std::snprintf(line, sizeof(line), "%s %.6f\n", owner_.c_str(),
-                      now());
-        os << line;
-        if (!os.flush())
-            return false;
-    }
+    // rename() replaces atomically, so readers always see a complete
+    // lease line.
+    std::string tmp = writeTemp(id);
+    if (tmp.empty())
+        return false;
     if (std::rename(tmp.c_str(), path(id).c_str()) != 0) {
         std::remove(tmp.c_str());
         return false;
@@ -95,17 +104,17 @@ LeaseDir::acquire(const std::string& id)
 
     if (!info.exists) {
         // Common path: let the kernel arbitrate the first claim.
-        int fd = ::open(path(id).c_str(),
-                        O_WRONLY | O_CREAT | O_EXCL, 0666);
-        if (fd < 0)
-            return false; // someone else just created it
-        char line[256];
-        int n = std::snprintf(line, sizeof(line), "%s %.6f\n",
-                              owner_.c_str(), now());
-        ssize_t wr = ::write(fd, line, static_cast<std::size_t>(n));
-        ::close(fd);
-        if (wr != n)
+        // link(2) fails if the lease exists, and the lease appears
+        // with its line already written. (Creating it empty and then
+        // writing would let a reader in between see heartbeat 0, call
+        // the claim stale, and steal it.)
+        std::string tmp = writeTemp(id);
+        if (tmp.empty())
             return false;
+        int rc = ::link(tmp.c_str(), path(id).c_str());
+        std::remove(tmp.c_str());
+        if (rc != 0)
+            return false; // someone else just created it
         held_.insert(id);
         return true;
     }

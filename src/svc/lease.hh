@@ -16,8 +16,10 @@
  * may steal the claim, which is how a crashed worker's scenarios get
  * re-issued.
  *
- * Claim protocol: fresh leases are created with O_CREAT|O_EXCL (the
- * kernel arbitrates); stale leases are stolen by writing a temp file
+ * Claim protocol: fresh leases are written to a temp file and
+ * link(2)ed into place, which fails if the lease exists (the kernel
+ * arbitrates, and no reader ever sees a lease without its line);
+ * stale leases are stolen by writing a temp file
  * and rename(2)-ing it over the lease (atomic replacement), then
  * reading the lease back to verify ownership. Two workers racing to
  * steal the same stale lease can, in a narrow window, both conclude
@@ -73,6 +75,9 @@ class LeaseDir
 
   private:
     std::string path(const std::string& id) const;
+    /** Write "<owner> <now>" to a private temp file; its path, or
+     *  "" on failure. */
+    std::string writeTemp(const std::string& id) const;
     /** Write "<owner> <now>" via temp + rename; true on success. */
     bool writeOwned(const std::string& id) const;
 

@@ -269,34 +269,6 @@ TEST(FlatMapTables, FlatMapMatchesReferenceUnderChurn)
     }
 }
 
-TEST(FlatMapTables, FlatMapAoSMatchesReferenceAcrossGrowth)
-{
-    sim::FlatMapAoS<std::uint64_t> m;
-    std::unordered_map<std::uint64_t, std::uint64_t> ref;
-    std::mt19937_64 rng(7);
-    // Grow-only (the directory's pattern): thousands of inserts force
-    // several rehashes; lookups must stay exact throughout.
-    for (int op = 0; op < 20000; ++op) {
-        std::uint64_t key = rng() % 4096;
-        if (rng() % 2) {
-            m[key] = op;
-            ref[key] = static_cast<std::uint64_t>(op);
-        } else {
-            const std::uint64_t* v = m.find(key);
-            auto it = ref.find(key);
-            ASSERT_EQ(v != nullptr, it != ref.end()) << "key " << key;
-            if (v != nullptr)
-                EXPECT_EQ(*v, it->second);
-        }
-    }
-    EXPECT_EQ(m.size(), ref.size());
-    for (auto& [k, v] : ref) {
-        const std::uint64_t* got = m.find(k);
-        ASSERT_NE(got, nullptr) << "key " << k;
-        EXPECT_EQ(*got, v);
-    }
-}
-
 // The stall generation is what lets the memory models use a filter
 // memo fetched *before* a cycle charge *after* it: an unchanged
 // generation proves no foreign code (another fiber, an event handler,

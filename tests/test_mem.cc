@@ -185,3 +185,46 @@ TEST(SharedAllocator, HomeOfUnallocatedThrows)
     EXPECT_THROW(a.homeOf(AddressMap::kSharedBase + (1 << 20)),
                  std::logic_error);
 }
+
+TEST(SharedAllocator, HomeOfOutsideAllocationsThrows)
+{
+    SharedAllocator a(AddressMap::kSharedBase, 1 << 24, 4,
+                      AllocPolicy::RoundRobin);
+    Addr x = a.galloc(100, 0);
+    EXPECT_EQ(a.homeOf(x), 0u);
+    // Below the region's base, including the byte just below it.
+    EXPECT_THROW(a.homeOf(AddressMap::kSharedBase - 1), std::logic_error);
+    EXPECT_THROW(a.homeOf(AddressMap::kSharedBase - (1 << 20)),
+                 std::logic_error);
+    // A page-aligned allocation skips pages 1..3; they have no home.
+    Addr y = a.galloc(64, 0, 4 * 4096);
+    EXPECT_EQ(y, AddressMap::kSharedBase + 4 * 4096);
+    EXPECT_EQ(a.homeOf(y), 1u);
+    for (Addr page = 1; page < 4; ++page) {
+        EXPECT_THROW(a.homeOf(AddressMap::kSharedBase + page * 4096),
+                     std::logic_error)
+            << "page " << page;
+    }
+    // Past the last allocated page.
+    EXPECT_THROW(a.homeOf(y + 4096), std::logic_error);
+    EXPECT_THROW(a.homeOf(AddressMap::kSharedBase + (1 << 23)),
+                 std::logic_error);
+}
+
+TEST(SharedAllocator, ForcedLocalSkipsPageHomedElsewhere)
+{
+    SharedAllocator a(AddressMap::kSharedBase, 1 << 24, 4,
+                      AllocPolicy::Local);
+    Addr x = a.galloc(100, 2);
+    EXPECT_EQ(a.homeOf(x), 2u);
+    // Node 1's block would fit on node 2's page; it starts on the
+    // next page instead, homed on node 1.
+    Addr y = a.gallocLocal(16, 1, 32);
+    EXPECT_EQ(y, AddressMap::kSharedBase + 4096);
+    EXPECT_EQ(a.homeOf(y), 1u);
+    EXPECT_EQ(a.homeOf(x), 2u);
+    // The same node continues on its own page.
+    Addr z = a.gallocLocal(16, 1, 32);
+    EXPECT_EQ(z >> 12, y >> 12);
+    EXPECT_EQ(a.homeOf(z), 1u);
+}

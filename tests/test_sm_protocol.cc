@@ -2,17 +2,36 @@
  * @file
  * Tests for the Dir_nNB directory protocol: miss/fill round trips with
  * Table 3 latencies, invalidations, write faults, producer-consumer
- * four-message behavior, writebacks, atomics, and directory
- * contention.
+ * four-message behavior, writebacks, atomics, directory
+ * contention, the dense directory table, and the coherence audit.
  */
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+
+#include "audit/check.hh"
 #include "core/config.hh"
 #include "sm/sm_machine.hh"
 
 using namespace wwt;
 using namespace wwt::sm;
+
+namespace wwt::sm
+{
+
+/** White-box access to the directory table. */
+struct DirProtocolPeer {
+    static auto&
+    entry(DirProtocol& p, Addr block)
+    {
+        return p.entry(block);
+    }
+    static constexpr std::size_t kChunkBlocks = DirProtocol::kChunkBlocks;
+};
+
+} // namespace wwt::sm
 
 namespace
 {
@@ -299,4 +318,111 @@ TEST(SmProtocol, SequentialConsistencySmoke)
         saw[n.id] = n.rd<std::uint64_t>(flags + (1 - n.id) * 64);
     });
     EXPECT_TRUE(saw[0] == 1 || saw[1] == 1);
+}
+
+TEST(SmProtocol, DirEntriesFarApartReadBack)
+{
+    // Blocks many directory chunks apart, plus a block on a page of
+    // its own (the layout gallocLocal gives MCS lock words), each get
+    // their own entry.
+    SmMachine m(smallCfg(2, mem::AllocPolicy::RoundRobin));
+    constexpr std::size_t kChunkBytes =
+        DirProtocolPeer::kChunkBlocks * kBlockBytes;
+    Addr big = m.shalloc().galloc((1 << 20) + 8, 0, kBlockBytes);
+    Addr last = big + (1 << 20) - kBlockBytes;
+    // The lock word's node differs from the home of the big region's
+    // last page, so the word starts a page of its own.
+    NodeId locker = 1 - m.shalloc().homeOf(big + (1 << 20));
+    Addr lock = m.shalloc().gallocLocal(16, locker, kBlockBytes);
+    ASSERT_EQ(lock % kPageBytes, 0u);
+    ASSERT_EQ(m.shalloc().homeOf(lock), locker);
+    ASSERT_GE((last - big) / kChunkBytes, 1000u);
+
+    m.run([&](SmMachine::Node& n) {
+        if (n.id == 0)
+            n.wr<std::uint64_t>(big, 11);
+        if (n.id == locker)
+            n.wr<std::uint64_t>(lock, 33);
+        n.rd<std::uint64_t>(last);
+    });
+
+    auto first = m.protocol().snapshot(big);
+    EXPECT_EQ(first.state, 2); // Exclusive
+    EXPECT_EQ(first.owner, 0u);
+    EXPECT_EQ(first.sharers, 1u);
+    EXPECT_FALSE(first.busy);
+    auto far = m.protocol().snapshot(last);
+    EXPECT_EQ(far.state, 1); // Shared by both readers
+    EXPECT_EQ(far.sharers, 2u);
+    EXPECT_FALSE(far.busy);
+    auto lk = m.protocol().snapshot(lock);
+    EXPECT_EQ(lk.state, 2);
+    EXPECT_EQ(lk.owner, locker);
+    EXPECT_EQ(lk.sharers, 1u);
+    // Neighbours in a touched chunk were never touched themselves.
+    EXPECT_EQ(m.protocol().snapshot(big + kBlockBytes).state, 0);
+    EXPECT_EQ(m.protocol().snapshot(lock + kBlockBytes).state, 0);
+}
+
+TEST(SmProtocol, DirEntryReferenceSurvivesFarInsertions)
+{
+    SmMachine m(smallCfg(2));
+    DirProtocol& p = m.protocol();
+    Addr base = mem::AddressMap::kSharedBase;
+    auto& e = DirProtocolPeer::entry(p, base + 5 * kBlockBytes);
+    e.owner = 1;
+    e.sharers.set(1);
+    // Touch one block in each of thousands of later chunks, forcing
+    // the chunk index to reallocate many times.
+    constexpr Addr kChunkBytes = DirProtocolPeer::kChunkBlocks * kBlockBytes;
+    for (Addr c = 1; c <= 5000; ++c)
+        DirProtocolPeer::entry(p, base + c * 7 * kChunkBytes).owner = 0;
+    EXPECT_EQ(&DirProtocolPeer::entry(p, base + 5 * kBlockBytes), &e);
+    EXPECT_EQ(e.owner, 1u);
+    auto snap = p.snapshot(base + 5 * kBlockBytes);
+    EXPECT_EQ(snap.owner, 1u);
+    EXPECT_EQ(snap.sharers, 1u);
+}
+
+TEST(SmProtocol, SnapshotOfUntouchedBlockIsUncached)
+{
+    SmMachine m(smallCfg(2));
+    Addr a = m.shalloc().galloc(64 * kPageBytes, 0, kPageBytes);
+    m.run([&](SmMachine::Node& n) {
+        if (n.id == 1)
+            n.wr<std::uint64_t>(a, 1);
+    });
+    // A block in the touched chunk and one in a chunk never touched.
+    for (Addr b : {a + kBlockBytes, a + 40 * kPageBytes}) {
+        auto s = m.protocol().snapshot(b);
+        EXPECT_EQ(s.state, 0) << std::hex << b;
+        EXPECT_EQ(s.sharers, 0u);
+        EXPECT_FALSE(s.busy);
+    }
+}
+
+TEST(SmProtocol, AuditCatchesWritableLineOfUnrecordedBlock)
+{
+    // A writable copy of a block the directory never recorded breaks
+    // single-writer just as much as one of a recorded block.
+    SmMachine m(smallCfg(2));
+    Addr a = m.shalloc().galloc(8 * kPageBytes, 0, kPageBytes);
+    m.run([&](SmMachine::Node& n) {
+        if (n.id == 0)
+            n.wr<std::uint64_t>(a, 1);
+    });
+    EXPECT_NO_THROW(m.audit());
+    Addr stray = a + 6 * kPageBytes + 3 * kBlockBytes;
+    m.node(1).mem.cache().insert(stray / kBlockBytes,
+                                 mem::LineState::Exclusive, true);
+    std::ostringstream block;
+    block << "block 0x" << std::hex << stray;
+    try {
+        m.protocol().auditConsistency();
+        FAIL() << "audit accepted a writable line of an unrecorded block";
+    } catch (const audit::AuditError& err) {
+        std::string msg = err.what();
+        EXPECT_NE(msg.find(block.str()), std::string::npos) << msg;
+        EXPECT_NE(msg.find("cache 1"), std::string::npos) << msg;
+    }
 }
