@@ -23,7 +23,6 @@ struct Slot {
     const Scenario* scenario = nullptr;
     int attempt = 0;           ///< attempts started so far
     pid_t pid = -1;            ///< -1 = not currently running
-    int ringSlot = -1;         ///< assigned ring slot, -1 = none
     Clock::time_point deadline;    ///< kill after this point
     Clock::time_point notBefore;   ///< backoff: don't start earlier
     bool done = false;
@@ -82,34 +81,12 @@ Runner::run(const std::vector<Scenario>& scenarios, DoneFn on_done,
     std::size_t finished = 0;
     RunnerStats stats;
 
-    // Free ring slots, handed to attempts LIFO. The ring is sized to
-    // at least `jobs` slots, so a running attempt always gets one.
-    std::vector<int> freeRing;
-    if (opts_.ring) {
-        for (std::uint32_t i = opts_.ring->slots(); i > 0; --i)
-            freeRing.push_back(static_cast<int>(i - 1));
-    }
-
-    // Read whatever the reaped child left in its ring slot into the
-    // outcome, reclaim a mid-WRITING slot, and return it to the pool.
-    auto harvestRing = [&](Slot& s) {
-        if (!opts_.ring || s.ringSlot < 0)
-            return;
-        auto idx = static_cast<std::uint32_t>(s.ringSlot);
-        std::uint32_t st = opts_.ring->state(idx);
-        if (st == svc::RecordRing::kReady) {
-            s.outcome.hasPayload =
-                opts_.ring->drain(idx, s.outcome.payload);
-        } else if (st == svc::RecordRing::kOverflow) {
-            s.outcome.overflow = true;
-        } else if (st == svc::RecordRing::kWriting) {
-            // The child died holding the slot; the half-written
-            // payload is abandoned and the slot reclaimed.
-            ++stats.ringReclaims;
-        }
-        opts_.ring->recycle(idx);
-        freeRing.push_back(s.ringSlot);
-        s.ringSlot = -1;
+    // Bookkeeping after a waitpid that collected s's child.
+    auto reaped = [&](Slot& s) {
+        s.pid = -1;
+        --running;
+        if (opts_.reaped)
+            opts_.reaped(*s.scenario, s.attempt);
     };
 
     auto finish = [&](Slot& s, ChildOutcome::Kind kind, int code,
@@ -135,23 +112,9 @@ Runner::run(const std::vector<Scenario>& scenarios, DoneFn on_done,
             if (s.done || s.pid != -1 || Clock::now() < s.notBefore)
                 continue;
             ++s.attempt;
-            s.outcome.hasPayload = false;
-            s.outcome.overflow = false;
-            s.outcome.payload.clear();
-            if (opts_.ring && !freeRing.empty()) {
-                s.ringSlot = freeRing.back();
-                freeRing.pop_back();
-                opts_.ring->recycle(
-                    static_cast<std::uint32_t>(s.ringSlot));
-            }
-            pid_t pid = spawn(
-                command_(*s.scenario, s.attempt, s.ringSlot),
-                log_path(*s.scenario));
+            pid_t pid = spawn(command_(*s.scenario, s.attempt),
+                              log_path(*s.scenario));
             if (pid < 0) {
-                if (s.ringSlot >= 0) {
-                    freeRing.push_back(s.ringSlot);
-                    s.ringSlot = -1;
-                }
                 finish(s, ChildOutcome::Kind::SpawnError, 0, 0,
                        std::string("fork failed: ") +
                            std::strerror(errno));
@@ -186,10 +149,8 @@ Runner::run(const std::vector<Scenario>& scenarios, DoneFn on_done,
                 // Budget exhausted: kill and reap synchronously.
                 ::kill(s.pid, SIGKILL);
                 ::waitpid(s.pid, &status, 0);
-                s.pid = -1;
-                --running;
+                reaped(s);
                 progressed = true;
-                harvestRing(s);
                 if (s.attempt <= s.scenario->retries) {
                     s.notBefore =
                         Clock::now() +
@@ -206,19 +167,15 @@ Runner::run(const std::vector<Scenario>& scenarios, DoneFn on_done,
                 continue;
             }
             if (r < 0) { // should not happen; treat as a crash
-                s.pid = -1;
-                --running;
+                reaped(s);
                 progressed = true;
-                harvestRing(s);
                 finish(s, ChildOutcome::Kind::SpawnError, 0, 0,
                        std::string("waitpid failed: ") +
                            std::strerror(errno));
                 continue;
             }
-            s.pid = -1;
-            --running;
+            reaped(s);
             progressed = true;
-            harvestRing(s);
             if (WIFEXITED(status)) {
                 int code = WEXITSTATUS(status);
                 if (code == 127) {

@@ -19,12 +19,11 @@
  * with waitpid(WNOHANG), and sleeps between sweeps, so scheduling
  * needs no locks and the results file has exactly one writer.
  *
- * Record handoff: when a RecordRing is attached (svc/ring.hh), each
- * spawned attempt is assigned one ring slot; the child publishes its
- * record line there and the parent drains it after the reap — the
- * tmp-file path remains as the overflow fallback. A child that dies
- * mid-WRITING leaves the slot dirty; the parent detects that state
- * after waitpid, reclaims the slot, and counts the reclaim.
+ * The runner does not carry records. A child publishes its record
+ * through the store (Store::publishRecord); the caller takes it back
+ * in the done callback. The `reaped` hook runs after every waitpid,
+ * retried attempts included, so the caller can discard what a dead
+ * attempt left half-written.
  *
  * Chaos hook: `chaosKillId` names one scenario whose first attempt is
  * SIGKILLed right after the spawn — CI uses it to prove the retry
@@ -36,7 +35,6 @@
 #include <vector>
 
 #include "exp/scenario.hh"
-#include "svc/ring.hh"
 
 namespace wwt::exp
 {
@@ -46,11 +44,10 @@ struct RunnerOptions {
     std::size_t jobs = 1;       ///< concurrent child processes
     double backoffSec = 0.5;    ///< retry delay = backoff * attempt
     std::string chaosKillId;    ///< SIGKILL this scenario's 1st attempt
-    /** Shared-memory handoff ring; nullptr = tmp-file handoff only.
-     *  Must have at least `jobs` slots. Not owned. */
-    svc::RecordRing* ring = nullptr;
     /** Invoked once per scheduler sweep (lease heartbeats etc.). */
     std::function<void()> tick;
+    /** Invoked after each child is reaped, with its attempt number. */
+    std::function<void(const Scenario&, int attempt)> reaped;
 };
 
 /** What happened to one scenario's child process(es). */
@@ -66,16 +63,11 @@ struct ChildOutcome {
     int signal = 0;
     int attempts = 1;
     std::string detail; ///< human-readable diagnostic
-    // Ring handoff (valid only for Kind::Exited).
-    bool hasPayload = false; ///< `payload` was drained from the ring
-    bool overflow = false;   ///< child marked OVERFLOW (tmp file holds it)
-    std::string payload;     ///< the record line the child published
 };
 
 /** What the scheduler did, summed over the whole run. */
 struct RunnerStats {
-    std::size_t spawns = 0;       ///< children actually forked
-    std::size_t ringReclaims = 0; ///< slots reclaimed mid-WRITING
+    std::size_t spawns = 0; ///< children actually forked
 };
 
 /**
@@ -88,11 +80,10 @@ struct RunnerStats {
 class Runner
 {
   public:
-    /** Child command line for @p s, attempt number (1-based), and the
-     *  assigned ring slot (-1 = no ring attached); argv[0] is the
-     *  executable. */
+    /** Child command line for @p s and attempt number (1-based);
+     *  argv[0] is the executable. */
     using CommandFn = std::function<std::vector<std::string>(
-        const Scenario&, int attempt, int ring_slot)>;
+        const Scenario&, int attempt)>;
     /** Invoked from the scheduling loop once per finished scenario. */
     using DoneFn =
         std::function<void(const Scenario&, const ChildOutcome&)>;

@@ -308,9 +308,51 @@ void
 Store::append(const RunRecord& rec) const
 {
     std::ofstream os(resultsPath(), std::ios::app);
-    if (!os)
-        throw std::runtime_error("cannot append to " + resultsPath());
     os << rec.toJsonLine() << '\n';
+    // The line sits in the stream buffer until the close; only the
+    // close's flush can report a full disk.
+    os.close();
+    if (!os)
+        throw std::runtime_error("cannot append to " + resultsPath() +
+                                 ": " + std::strerror(errno));
+}
+
+void
+Store::publishRecord(const std::string& id,
+                     const std::string& line) const
+{
+    const std::string partial = tmpPartialPath(id);
+    std::ofstream os(partial, std::ios::trunc);
+    os << line << '\n';
+    os.close();
+    if (os && std::rename(partial.c_str(),
+                          tmpRecordPath(id).c_str()) == 0)
+        return;
+    int err = errno;
+    std::remove(partial.c_str());
+    throw std::runtime_error("cannot publish the record to " + partial +
+                             ": " + std::strerror(err));
+}
+
+std::optional<std::string>
+Store::takeRecord(const std::string& id) const
+{
+    const std::string path = tmpRecordPath(id);
+    std::ifstream in(path);
+    if (!in)
+        return std::nullopt;
+    std::string line;
+    bool got = static_cast<bool>(std::getline(in, line));
+    in.close();
+    std::remove(path.c_str());
+    return got ? std::optional<std::string>(std::move(line))
+               : std::nullopt;
+}
+
+bool
+Store::discardPartial(const std::string& id) const
+{
+    return std::remove(tmpPartialPath(id).c_str()) == 0;
 }
 
 void

@@ -12,9 +12,8 @@
  *   <dir>/metrics/<id>.json  full wwtcmp.metrics/2 manifest per run
  *   <dir>/hostprof/<id>.json  wwtcmp.hostprof/1 host-time profile
  *                         (only when the campaign ran --host-prof)
- *   <dir>/tmp/            child-written records before validation
- *                         (overflow fallback; the primary handoff is
- *                         the shared-memory record ring, svc/ring.hh)
+ *   <dir>/tmp/            in-flight records only: <id>.partial while
+ *                         a child writes, <id>.json once it published
  *   <dir>/leases/         scenario leases for cooperating workers
  *                         (svc/lease.hh; empty in single-runner mode)
  *
@@ -26,9 +25,12 @@
  * host-side resource use (wall/user/sys seconds and peak RSS, plus a
  * host-phase breakdown when --host-prof was on) — all additive keys;
  * readers of older stores see zeros/empty.
- * Only the parent process appends to results.jsonl (children hand
- * records back through the shared-memory ring or tmp/ and the parent
- * validates before adopting), so the file needs no locking. In
+ * Only the parent process appends to results.jsonl, so the file needs
+ * no locking. Children hand their record back through tmp/ by
+ * write-then-rename (publishRecord); the parent takes it after reaping
+ * the child (takeRecord) and validates it before adopting it. A
+ * <id>.partial left after a reap means the child died mid-publish;
+ * it is never read, only discarded (discardPartial). In
  * multi-worker mode (`--workers`) every cooperating runner keeps the
  * same invariant by appending to its own shard file,
  * results.<worker>.jsonl; readers fold *all* results files. Within
@@ -151,8 +153,29 @@ class Store
      *  @throws std::runtime_error when a directory cannot be made. */
     void create() const;
 
-    /** Append one validated record (this process's shard only). */
+    /** Append one validated record (this process's shard only).
+     *  @throws std::runtime_error when the line cannot be written
+     *  (full disk included). */
     void append(const RunRecord& rec) const;
+
+    /**
+     * Child side of the record handoff: write @p line to
+     * tmpPartialPath(@p id), check the write and the close, then
+     * rename it to tmpRecordPath(@p id). No fsync: the parent reads
+     * the file on the same kernel after waitpid, so the rename alone
+     * makes the handoff atomic against a child crash.
+     * @throws std::runtime_error on failure, leaving neither file.
+     */
+    void publishRecord(const std::string& id,
+                       const std::string& line) const;
+
+    /** Parent side, after the reap: the record line the child
+     *  published for @p id, removed from tmp/; nullopt when there is
+     *  none. A .partial file is never taken. */
+    std::optional<std::string> takeRecord(const std::string& id) const;
+
+    /** Remove an abandoned tmp/<id>.partial; true if there was one. */
+    bool discardPartial(const std::string& id) const;
 
     /**
      * Load every results file folded to the latest record per
@@ -202,9 +225,16 @@ class Store
     {
         return dir_ + "/metrics/" + id + ".json";
     }
+    /** Published record of @p id. Worker mode adds ".<worker>", so
+     *  a duplicate execution on another worker never shares it. */
     std::string tmpRecordPath(const std::string& id) const
     {
-        return dir_ + "/tmp/" + id + ".json";
+        return tmpStem(id) + ".json";
+    }
+    /** The same record while its child is still writing it. */
+    std::string tmpPartialPath(const std::string& id) const
+    {
+        return tmpStem(id) + ".partial";
     }
     std::string hostprofPath(const std::string& id) const
     {
@@ -212,6 +242,12 @@ class Store
     }
 
   private:
+    std::string tmpStem(const std::string& id) const
+    {
+        return dir_ + "/tmp/" + id +
+               (worker_.empty() ? "" : "." + worker_);
+    }
+
     std::string dir_;
     std::string worker_; ///< empty = classic single-runner mode
 };

@@ -12,6 +12,7 @@
 
 #include <cstdlib>
 #include <fstream>
+#include <optional>
 #include <sstream>
 
 #include "exp/registry.hh"
@@ -66,6 +67,19 @@ runBinary(const std::string& args)
                       " > /dev/null 2>&1";
     int rc = std::system(cmd.c_str());
     return WIFEXITED(rc) ? WEXITSTATUS(rc) : -1;
+}
+
+bool
+fileExists(const std::string& path)
+{
+    return ::access(path.c_str(), F_OK) == 0;
+}
+
+/** True when /dev/full exists, so a write to it fails with ENOSPC. */
+bool
+haveDevFull()
+{
+    return ::access("/dev/full", W_OK) == 0;
 }
 
 std::size_t
@@ -387,6 +401,93 @@ TEST(CampaignStore, TruncatedTrailingLineToleratedInteriorRejected)
     r.scenario = "c";
     store.append(r);
     EXPECT_THROW(store.loadLatest(), std::runtime_error);
+}
+
+TEST(Store, AppendToFullDiskThrows)
+{
+    if (!haveDevFull())
+        GTEST_SKIP() << "no /dev/full on this system";
+    TempDir t;
+    exp::Store store(t.path + "/camp");
+    store.create();
+    ASSERT_EQ(::symlink("/dev/full", store.resultsPath().c_str()), 0);
+    exp::RunRecord r;
+    r.scenario = "a";
+    r.configHash = "h1";
+    try {
+        store.append(r);
+        FAIL() << "append to a full disk returned normally";
+    } catch (const std::runtime_error& e) {
+        EXPECT_NE(std::string(e.what()).find(store.resultsPath()),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
+TEST(Store, PublishTakeRoundTrip)
+{
+    TempDir t;
+    exp::Store store(t.path + "/camp");
+    store.create();
+    EXPECT_FALSE(store.takeRecord("a").has_value());
+
+    store.publishRecord("a", "{\"line\": 1}");
+    EXPECT_FALSE(fileExists(store.tmpPartialPath("a")));
+    ASSERT_TRUE(fileExists(store.tmpRecordPath("a")));
+    std::optional<std::string> line = store.takeRecord("a");
+    ASSERT_TRUE(line.has_value());
+    EXPECT_EQ(*line, "{\"line\": 1}");
+    // Taking removes the file: a record is handed back once.
+    EXPECT_FALSE(fileExists(store.tmpRecordPath("a")));
+    EXPECT_FALSE(store.takeRecord("a").has_value());
+
+    // Worker mode names the files per worker, so two workers that
+    // run the same scenario never share them.
+    exp::Store w(store.dir());
+    w.setWorker("w1");
+    EXPECT_NE(w.tmpRecordPath("a"), store.tmpRecordPath("a"));
+    EXPECT_NE(w.tmpPartialPath("a"), store.tmpPartialPath("a"));
+    w.publishRecord("a", "mine");
+    EXPECT_FALSE(store.takeRecord("a").has_value());
+    EXPECT_EQ(w.takeRecord("a").value_or(""), "mine");
+}
+
+TEST(Store, PartialRecordIsNeverTaken)
+{
+    TempDir t;
+    exp::Store store(t.path + "/camp");
+    store.create();
+    exp::RunRecord r;
+    r.scenario = "a";
+    r.configHash = "h1";
+    writeFile(store.tmpPartialPath("a"), r.toJsonLine() + "\n");
+
+    // A complete-looking line in .partial is still not published.
+    EXPECT_FALSE(store.takeRecord("a").has_value());
+    EXPECT_TRUE(store.discardPartial("a"));
+    EXPECT_FALSE(fileExists(store.tmpPartialPath("a")));
+    EXPECT_FALSE(store.discardPartial("a"));
+}
+
+TEST(Store, PublishToFullDiskThrowsAndLeavesNoRecord)
+{
+    if (!haveDevFull())
+        GTEST_SKIP() << "no /dev/full on this system";
+    TempDir t;
+    exp::Store store(t.path + "/camp");
+    store.create();
+    ASSERT_EQ(::symlink("/dev/full", store.tmpPartialPath("a").c_str()),
+              0);
+    try {
+        store.publishRecord("a", "{\"line\": 1}");
+        FAIL() << "publish to a full disk returned normally";
+    } catch (const std::runtime_error& e) {
+        EXPECT_NE(std::string(e.what()).find(store.tmpPartialPath("a")),
+                  std::string::npos)
+            << e.what();
+    }
+    EXPECT_FALSE(fileExists(store.tmpRecordPath("a")));
+    EXPECT_FALSE(fileExists(store.tmpPartialPath("a")));
 }
 
 // ------------------------------------------------------------------
