@@ -3,6 +3,7 @@
 #include "audit/check.hh"
 #include "prof/hostprof.hh"
 
+#include <exception>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -172,8 +173,15 @@ Engine::run()
             if (p->ready() && p->now() < qend) {
                 runUntilPhased(*p, qend);
                 ran = true;
-                if (p->state() == Processor::State::Finished)
+                if (p->state() == Processor::State::Finished) {
                     --live;
+                    // A body that threw finished its fiber there; the
+                    // exception continues on this stack.
+                    if (std::exception_ptr err = p->fiber_->error()) {
+                        prof::exchangePhase(outer0);
+                        std::rethrow_exception(err);
+                    }
+                }
             }
         }
 

@@ -72,6 +72,9 @@ class Engine
      * Simulate until every processor with a body has finished.
      * @throws std::runtime_error on deadlock (blocked processors with
      *         an empty event calendar).
+     * @throws whatever a processor's body throws, with its type, once
+     *         that processor's slice has ended; the other processors
+     *         are left where they stopped.
      */
     void run();
 

@@ -1,12 +1,24 @@
 /**
  * @file
- * Unit tests for the discrete-event kernel: fibers, the event
- * calendar, quantum scheduling, blocking/resume, attribution scopes,
- * phases, and determinism.
+ * Unit tests for the discrete-event kernel: fibers (the switch's
+ * register, control-word and alignment contract), the event calendar,
+ * quantum scheduling, blocking/resume, exceptions escaping a target
+ * program, attribution scopes, phases, and determinism.
  */
 
 #include <gtest/gtest.h>
 
+#include <cfenv>
+#include <cstdint>
+#include <stdexcept>
+#include <string>
+#include <vector>
+
+#if defined(__x86_64__)
+#include <xmmintrin.h>
+#endif
+
+#include "audit/check.hh"
 #include "sim/engine.hh"
 #include "sim/event_queue.hh"
 #include "sim/fiber.hh"
@@ -31,6 +43,117 @@ TEST(Fiber, RunsAndYields)
     f.switchTo();
     EXPECT_EQ(step, 2);
     EXPECT_TRUE(f.finished());
+}
+
+#if defined(__x86_64__)
+// MXCSR and the x87 control word are callee-saved state: a rounding
+// mode one fiber sets must not leak into the engine or into another
+// fiber, and must be back in place when that fiber resumes.
+TEST(Fiber, FloatingPointControlIsPerFiber)
+{
+    const unsigned engineCsr = _mm_getcsr();
+    const int engineRound = std::fegetround();
+    ASSERT_EQ(engineRound, FE_TONEAREST);
+    unsigned seenByB = 0;
+    int seenByBRound = -1;
+    bool resumedIntact = false;
+    Fiber* a = nullptr;
+    Fiber fa(64 * 1024, [&] {
+        std::fesetround(FE_TOWARDZERO);
+        const unsigned mine = _mm_getcsr();
+        a->yieldToCaller();
+        resumedIntact = _mm_getcsr() == mine &&
+                        std::fegetround() == FE_TOWARDZERO;
+        std::fesetround(FE_TONEAREST);
+    });
+    a = &fa;
+    Fiber fb(64 * 1024, [&] {
+        seenByB = _mm_getcsr();
+        seenByBRound = std::fegetround();
+    });
+    fa.switchTo();
+    EXPECT_EQ(_mm_getcsr(), engineCsr);
+    EXPECT_EQ(std::fegetround(), engineRound);
+    fb.switchTo();
+    EXPECT_EQ(seenByB, engineCsr);
+    EXPECT_EQ(seenByBRound, FE_TONEAREST);
+    fa.switchTo();
+    EXPECT_TRUE(fa.finished());
+    EXPECT_TRUE(resumedIntact);
+    EXPECT_EQ(_mm_getcsr(), engineCsr);
+    EXPECT_EQ(std::fegetround(), engineRound);
+}
+#endif
+
+// The compiler assumes 16-byte stack alignment at every call and does
+// not realign for an alignas(16) local, so a misprimed stack shows up
+// as a misaligned address here (and as a crash in any movaps spill).
+TEST(Fiber, FirstFrameIsSixteenByteAligned)
+{
+    std::uintptr_t addr = 1;
+    Fiber f(64 * 1024, [&] {
+        alignas(16) volatile unsigned char probe[16] = {};
+        probe[0] = 1;
+        addr = reinterpret_cast<std::uintptr_t>(&probe[0]);
+    });
+    f.switchTo();
+    ASSERT_TRUE(f.finished());
+    EXPECT_EQ(addr % 16, 0u);
+}
+
+// Many fibers interleaved round-robin: each keeps its own stack
+// resident state (and whatever the compiler holds in callee-saved
+// registers) across every switch.
+TEST(Fiber, ManyInterleavedFibersKeepTheirState)
+{
+    constexpr int kFibers = 32;
+    constexpr int kSwitches = 1000;
+    std::vector<std::uint64_t> sums(kFibers, 0);
+    std::vector<int> corrupt(kFibers, 0);
+    std::vector<std::unique_ptr<Fiber>> fibers(kFibers);
+    for (int id = 0; id < kFibers; ++id) {
+        fibers[id] = std::make_unique<Fiber>(64 * 1024, [&, id] {
+            std::uint64_t local[8];
+            for (int j = 0; j < 8; ++j)
+                local[j] = static_cast<std::uint64_t>(id) * 1000 + j;
+            std::uint64_t sum = 0;
+            for (int k = 0; k < kSwitches; ++k) {
+                for (int j = 0; j < 8; ++j) {
+                    if (local[j] != static_cast<std::uint64_t>(id) * 1000 +
+                                        j + static_cast<std::uint64_t>(k))
+                        corrupt[id]++;
+                    local[j]++;
+                }
+                sum += static_cast<std::uint64_t>(id) + k;
+                fibers[id]->yieldToCaller();
+            }
+            sums[id] = sum;
+        });
+    }
+    for (int k = 0; k <= kSwitches; ++k) {
+        for (auto& f : fibers)
+            f->switchTo();
+    }
+    for (int id = 0; id < kFibers; ++id) {
+        EXPECT_TRUE(fibers[id]->finished()) << id;
+        EXPECT_EQ(corrupt[id], 0) << id;
+        EXPECT_EQ(sums[id], static_cast<std::uint64_t>(id) * kSwitches +
+                                kSwitches * (kSwitches - 1) / 2)
+            << id;
+    }
+}
+
+TEST(Fiber, EscapingExceptionFinishesTheFiber)
+{
+    Fiber f(64 * 1024, [] { throw std::out_of_range("fiber threw"); });
+    f.switchTo();
+    EXPECT_TRUE(f.finished());
+    ASSERT_TRUE(f.error());
+    try {
+        std::rethrow_exception(f.error());
+    } catch (const std::out_of_range& ex) {
+        EXPECT_EQ(std::string(ex.what()), "fiber threw");
+    }
 }
 
 TEST(EventQueue, OrdersByTimeThenSequence)
@@ -130,6 +253,48 @@ TEST(Engine, DeadlockIsDetected)
     e.setBody(0, [&] { e.proc(0).blockFor(CostKind::Barrier); });
     e.setBody(1, [&] { e.proc(1).charge(10); });
     EXPECT_THROW(e.run(), std::runtime_error);
+}
+
+// An exception thrown by a target program reaches Engine::run's caller
+// with its type and message, after the throwing processor's slice;
+// the processor counts as finished.
+TEST(Engine, BodyExceptionReachesTheCaller)
+{
+    Engine e(2);
+    e.setBody(0, [&] {
+        e.proc(0).charge(250);
+        throw std::runtime_error("proc 0 gave up");
+    });
+    e.setBody(1, [&] {
+        for (int i = 0; i < 100; ++i)
+            e.proc(1).charge(30);
+    });
+    try {
+        e.run();
+        FAIL() << "run() returned normally";
+    } catch (const std::runtime_error& ex) {
+        EXPECT_EQ(std::string(ex.what()), "proc 0 gave up");
+    }
+    EXPECT_TRUE(e.proc(0).finished());
+    EXPECT_EQ(e.proc(0).now(), 250u);
+}
+
+TEST(Engine, AuditErrorFromABodyKeepsItsType)
+{
+    Engine e(2);
+    e.setBody(0, [&] { e.proc(0).charge(10); });
+    e.setBody(1, [&] {
+        e.proc(1).charge(120);
+        WWT_AUDIT(false, "forged violation on proc " << e.proc(1).id());
+    });
+    try {
+        e.run();
+        FAIL() << "run() returned normally";
+    } catch (const audit::AuditError& ex) {
+        EXPECT_NE(std::string(ex.what()).find("forged violation on proc 1"),
+                  std::string::npos)
+            << ex.what();
+    }
 }
 
 TEST(Engine, BulkChargeSkipsQuanta)
