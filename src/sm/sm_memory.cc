@@ -15,7 +15,7 @@ SmMemory::atomicOp(Addr a, AtomicKind k, std::uint64_t expect,
     counts.atomicOps++;
     mem::Line* line = chargeAccess(a, bnum, counts.sharedAccesses);
 
-    if (line != nullptr || (line = findAfterCharge(bnum))) {
+    if (line != nullptr) {
         if (line->state == mem::LineState::Exclusive) {
             // Exclusivity in hand: the swap completes locally.
             line->dirty = true;
@@ -57,7 +57,7 @@ SmMemory::sharedWrite(Addr a, std::uint64_t bits, unsigned width)
     auto& counts = p_.stats().counts();
     mem::Line* line = chargeAccess(a, bnum, counts.sharedAccesses);
 
-    if (line != nullptr || (line = findAfterCharge(bnum))) {
+    if (line != nullptr) {
         if (line->state == mem::LineState::Exclusive) {
             line->dirty = true;
             return true; // caller stores immediately

@@ -49,7 +49,7 @@ ProcStats::setPhase(std::size_t i)
 {
     if (i >= phases_.size())
         phases_.resize(i + 1);
-    cur_ = i;
+    cur_ = &phases_[i];
 }
 
 PhaseStats
@@ -65,7 +65,7 @@ void
 ProcStats::reset()
 {
     phases_.assign(1, PhaseStats{});
-    cur_ = 0;
+    cur_ = phases_.data();
 }
 
 } // namespace wwt::stats
