@@ -23,6 +23,8 @@
 namespace wwt::mem
 {
 
+class FastHitFilter;
+
 /** Coherence/validity state of one cache line. */
 enum class LineState : std::uint8_t {
     Invalid,
@@ -93,6 +95,15 @@ class Cache
     /** Invalidate every line (e.g. between benchmark repetitions). */
     void reset();
 
+    /**
+     * Attach the fast-hit filter that memoizes this cache's lines.
+     * From then on every line death — an insert's victim, a remove(),
+     * a reset() — is reported to it, so the filter never holds a line
+     * that no longer holds its block. @p f must outlive the cache's
+     * use (nullptr detaches).
+     */
+    void setFilter(FastHitFilter* f) { filter_ = f; }
+
     /** Count of currently valid lines (tests/diagnostics). */
     std::size_t validLines() const;
 
@@ -116,6 +127,7 @@ class Cache
     std::size_t assoc_;
     std::vector<Line> lines_; // sets_ * assoc_, set-major
     std::uint64_t rng_;
+    FastHitFilter* filter_ = nullptr;
 };
 
 } // namespace wwt::mem

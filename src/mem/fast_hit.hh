@@ -15,14 +15,19 @@
  * never produce a hit the full lookup would not have produced, so
  * that enabling it changes no simulated cycle.
  *
- *  - Coherence: a hit revalidates the memoized line against its live
- *    cache slot (`line->block == block && state != Invalid`). Any
- *    action that would make the memo stale — a protocol invalidation
- *    or downgrade from another processor, an eviction reusing the
- *    slot (by any path), a cache reset — rewrites exactly those
- *    fields, so staleness is observed without any invalidation
- *    plumbing. Line pointers stay valid because the cache's line
- *    array never reallocates.
+ *  - Coherence: the cache tells the filter when a line dies. The
+ *    owning front end attaches its filter to its cache
+ *    (Cache::setFilter), and every way a line can stop holding its
+ *    block goes through the cache — an insert's victim, a remove()
+ *    (protocol invalidations, flushes, fetches that take the block
+ *    away), a reset() — which calls forget()/clear(). An entry is
+ *    therefore always a live line holding its block, and lookup()
+ *    never reads the Line itself: a hit touches one host cache line
+ *    (the slot), not two. State changes that keep the block resident
+ *    (a write-fault upgrade, a protocol downgrade to Shared) leave the
+ *    entry valid; the caller reads the line's state where it matters.
+ *    Line pointers stay valid because the cache's line array never
+ *    reallocates.
  *  - Translation: an entry is trusted only while the TLB has done no
  *    refill since the entry was recorded (epoch match). The TLB is
  *    FIFO — installs are the only evictions — so an unchanged epoch
@@ -59,21 +64,18 @@ class FastHitFilter
     bool enabled() const { return enabled_; }
 
     /**
-     * The still-valid memoized line for @p block, or nullptr when the
-     * slow path must run.
+     * The memoized line for @p block, or nullptr when the slow path
+     * must run. Reads only the slot: the cache has already dropped
+     * every entry whose line died.
      * @param tlb_epoch the owning processor's current TLB refill
      *        epoch; entries recorded under an older epoch are not
      *        trusted (their page may have been evicted since).
      */
     Line*
-    lookup(Addr block, std::uint64_t tlb_epoch)
+    lookup(Addr block, std::uint64_t tlb_epoch) const
     {
-        if (!enabled_)
-            return nullptr;
         const Entry& e = slots_[block & (kSlots - 1)];
-        if (e.line != nullptr && e.block == block &&
-            e.tlbEpoch == tlb_epoch && e.line->block == block &&
-            e.line->state != LineState::Invalid)
+        if (e.block == block && e.tlbEpoch == tlb_epoch)
             return e.line;
         return nullptr;
     }
@@ -94,7 +96,16 @@ class FastHitFilter
         e.line = line;
     }
 
-    /** Drop every entry (tests; benchmark-repetition hygiene). */
+    /** The cache's line holding @p block died: drop its entry. */
+    void
+    forget(Addr block)
+    {
+        Entry& e = slots_[block & (kSlots - 1)];
+        if (e.block == block)
+            e = Entry{};
+    }
+
+    /** Drop every entry (cache reset; tests). */
     void
     clear()
     {
@@ -102,8 +113,11 @@ class FastHitFilter
     }
 
   private:
+    /** Matches no block number (those are addresses >> 5). */
+    static constexpr Addr kNoBlock = ~Addr{0};
+
     struct Entry {
-        Addr block = 0;
+        Addr block = kNoBlock;
         std::uint64_t tlbEpoch = 0;
         Line* line = nullptr;
     };

@@ -67,14 +67,14 @@ TEST(FastHitFilter, InvalidationOnUpgradeIsObserved)
 {
     mem::Cache cache(256 * 1024, 4, 32, 1);
     mem::FastHitFilter f;
+    cache.setFilter(&f);
     mem::Line* line = cache.insert(42, mem::LineState::Shared, false,
                                    nullptr);
     f.remember(42, line, kEpoch);
     ASSERT_EQ(f.lookup(42, kEpoch), line);
     // A remote write upgrade invalidates the local read-only copy
-    // (the protocol's invalArrive path is a cache remove). The filter
-    // has no invalidation hook: the hit must die because the memoized
-    // line's live state says Invalid.
+    // (the protocol's invalArrive path is a cache remove), and the
+    // cache reports the death to its filter.
     cache.remove(42);
     EXPECT_EQ(f.lookup(42, kEpoch), nullptr);
 }
@@ -83,12 +83,12 @@ TEST(FastHitFilter, EvictionReuseIsObserved)
 {
     mem::Cache cache(256 * 1024, 4, 32, 1);
     mem::FastHitFilter f;
+    cache.setFilter(&f);
     mem::Line* line = cache.insert(42, mem::LineState::Exclusive, true,
                                    nullptr);
     f.remember(42, line, kEpoch);
     // The victim's slot is reused for another block (any eviction
-    // path). The memoized pointer now describes a different block, so
-    // the self-validation `line->block == block` must miss.
+    // path). The memo for the old block must be gone.
     cache.remove(42);
     Addr other = 42 + cache.numSets(); // same set, different block
     mem::Line* reused = cache.insert(other, mem::LineState::Exclusive,
@@ -97,6 +97,57 @@ TEST(FastHitFilter, EvictionReuseIsObserved)
     EXPECT_EQ(f.lookup(42, kEpoch), nullptr);
     f.remember(other, reused, kEpoch);
     EXPECT_EQ(f.lookup(other, kEpoch), reused);
+}
+
+// The filter is exact: it forgets a block when the cache reports the
+// line's death (eviction, removal, reset), and it never reads the
+// Line to find out. Corrupting a live memoized line behind the
+// cache's back therefore does not change the answer, while every
+// cache-side death does.
+TEST(FastHitFilter, DeadLinesAreForgottenWithoutRevalidation)
+{
+    mem::Cache cache(4 * 32, 4, 32, 1); // one set of four ways
+    ASSERT_EQ(cache.numSets(), 1u);
+    mem::FastHitFilter f;
+    cache.setFilter(&f);
+    std::array<mem::Line*, 4> lines{};
+    for (Addr b = 0; b < 4; ++b) {
+        lines[b] = cache.insert(b, mem::LineState::Exclusive, false,
+                                nullptr);
+        f.remember(b, lines[b], kEpoch);
+    }
+
+    // No revalidation: a memo answers from the slot alone.
+    lines[3]->state = mem::LineState::Invalid;
+    EXPECT_EQ(f.lookup(3, kEpoch), lines[3]);
+    lines[3]->state = mem::LineState::Exclusive;
+
+    // Eviction: exactly the victim is forgotten.
+    mem::Victim v;
+    mem::Line* fresh = cache.insert(9, mem::LineState::Shared, false, &v);
+    ASSERT_TRUE(v.valid);
+    EXPECT_EQ(f.lookup(v.block, kEpoch), nullptr);
+    for (Addr b = 0; b < 4; ++b) {
+        if (b != v.block)
+            EXPECT_EQ(f.lookup(b, kEpoch), lines[b]) << b;
+    }
+    f.remember(9, fresh, kEpoch);
+
+    // Removal: the removed block is forgotten, the rest stay.
+    Addr gone = v.block == 0 ? 1 : 0;
+    cache.remove(gone);
+    EXPECT_EQ(f.lookup(gone, kEpoch), nullptr);
+    EXPECT_EQ(f.lookup(9, kEpoch), fresh);
+
+    // Removing an absent block forgets nothing.
+    cache.remove(1234);
+    EXPECT_EQ(f.lookup(9, kEpoch), fresh);
+
+    // Reset: everything goes.
+    cache.reset();
+    EXPECT_EQ(f.lookup(9, kEpoch), nullptr);
+    for (Addr b = 0; b < 4; ++b)
+        EXPECT_EQ(f.lookup(b, kEpoch), nullptr) << b;
 }
 
 TEST(FastHitFilter, DisabledFilterNeverAnswers)
