@@ -2,8 +2,15 @@
 
 #include <algorithm>
 
+#include "mem/address_map.hh"
+
 namespace wwt::mem
 {
+
+// slotOf() folds chunk bit 14 and up onto the low bits because that
+// is where consecutive processors' private regions differ.
+static_assert((AddressMap::kPrivStride >> BackingStore::kChunkBits) ==
+              Addr{1} << 14);
 
 char*
 BackingStore::chunkPtr(Addr chunk)

@@ -94,14 +94,27 @@ class BackingStore
     /**
      * Small direct-mapped lookup cache: target code interleaves a few
      * regions (its own arrays, neighbors' arrays, the private heap),
-     * so a single memoized chunk thrashes; a handful indexed by chunk
-     * number covers the working set.
+     * so a single memoized chunk thrashes; a few hundred entries cover
+     * the working set of every processor at once.
      */
     struct Cached {
         Addr chunk = 0;
         char* base = nullptr;
     };
-    static constexpr std::size_t kWays = 16;
+    static constexpr std::size_t kWays = 256;
+
+    /**
+     * Cache slot of @p chunk. Private regions start 1 GB apart
+     * (AddressMap::kPrivStride), i.e. 2^14 chunks apart, so the low
+     * chunk bits alone put every processor's heap start on one slot;
+     * folding in the bits above 14 spreads the processors out.
+     */
+    static std::size_t
+    slotOf(Addr chunk)
+    {
+        return static_cast<std::size_t>(chunk ^ (chunk >> 14)) &
+               (kWays - 1);
+    }
 
     std::array<Cached, kWays> cached_{};
     sim::FlatMap<std::unique_ptr<char[]>> chunks_; // chunk number -> data
@@ -111,7 +124,7 @@ inline char*
 BackingStore::ptr(Addr a)
 {
     Addr chunk = a >> kChunkBits;
-    Cached& c = cached_[chunk & (kWays - 1)];
+    Cached& c = cached_[slotOf(chunk)];
     if (c.chunk != chunk || c.base == nullptr) {
         c.chunk = chunk;
         c.base = chunkPtr(chunk);
