@@ -1,6 +1,8 @@
 #include "core/metrics.hh"
 
+#include <cerrno>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 
 #include "prof/hostprof.hh"
@@ -228,38 +230,55 @@ ArtifactWriter::addRun(std::string name, const MachineConfig& cfg,
 }
 
 bool
+writeFileChecked(const std::string& path,
+                 const std::function<void(std::ostream&)>& fill)
+{
+    std::ofstream os(path);
+    if (!os) {
+        std::fprintf(stderr, "cannot open %s\n", path.c_str());
+        return false;
+    }
+    errno = 0;
+    fill(os);
+    os.close();
+    if (!os) {
+        int err = errno;
+        std::fprintf(stderr, "cannot write %s: %s\n", path.c_str(),
+                     err ? std::strerror(err) : "stream error");
+        return false;
+    }
+    return true;
+}
+
+bool
 ArtifactWriter::write() const
 {
     prof::ScopedPhase hp(prof::Phase::Trace);
     bool ok = true;
     if (!metricsPath_.empty()) {
-        std::ofstream os(metricsPath_);
-        if (!os) {
-            std::fprintf(stderr, "cannot open %s\n",
-                         metricsPath_.c_str());
-            ok = false;
-        } else {
-            writeMetricsJson(os, runs_);
+        if (writeFileChecked(metricsPath_, [&](std::ostream& os) {
+                writeMetricsJson(os, runs_);
+            })) {
             std::printf("metrics manifest written to %s\n",
                         metricsPath_.c_str());
+        } else {
+            ok = false;
         }
     }
     if (!tracePath_.empty()) {
-        std::ofstream os(tracePath_);
-        if (!os) {
-            std::fprintf(stderr, "cannot open %s\n", tracePath_.c_str());
-            ok = false;
-        } else {
-            std::vector<trace::TracedRun> traced;
-            for (std::size_t i = 0; i < runs_.size(); ++i) {
-                traced.emplace_back(runs_[i].name,
-                                    tracers_[i] ? &*tracers_[i]
-                                                : nullptr);
-            }
-            trace::writeCatapult(os, traced);
+        std::vector<trace::TracedRun> traced;
+        for (std::size_t i = 0; i < runs_.size(); ++i) {
+            traced.emplace_back(runs_[i].name,
+                                tracers_[i] ? &*tracers_[i] : nullptr);
+        }
+        if (writeFileChecked(tracePath_, [&](std::ostream& os) {
+                trace::writeCatapult(os, traced);
+            })) {
             std::printf("trace written to %s "
                         "(open in chrome://tracing or ui.perfetto.dev)\n",
                         tracePath_.c_str());
+        } else {
+            ok = false;
         }
     }
     return ok;

@@ -25,6 +25,7 @@
  * formats.
  */
 
+#include <functional>
 #include <optional>
 #include <ostream>
 #include <string>
@@ -47,6 +48,16 @@ struct RunMetrics {
 /** Write the manifest for @p runs as JSON. */
 void writeMetricsJson(std::ostream& os,
                       const std::vector<RunMetrics>& runs);
+
+/**
+ * Create @p path, let @p fill write it, then flush, close and check
+ * the stream. A full disk shows only at that last step, so a writer
+ * that skips it reports success for a file that was never written.
+ * @return false, after a diagnostic on stderr naming the file, if the
+ *         file could not be opened or written.
+ */
+bool writeFileChecked(const std::string& path,
+                      const std::function<void(std::ostream&)>& fill);
 
 /** Collects runs and writes the --trace/--metrics artifacts. */
 class ArtifactWriter
@@ -78,7 +89,9 @@ class ArtifactWriter
 
     /**
      * Write the requested files and print one line per file written.
-     * @return false if any file could not be opened.
+     * @return false if any file could not be opened or written (see
+     *         writeFileChecked()); no "written to" line is printed for
+     *         that file.
      */
     bool write() const;
 

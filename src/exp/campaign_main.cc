@@ -65,6 +65,7 @@
 #include <thread>
 
 #include "audit/check.hh"
+#include "core/metrics.hh"
 #include "core/parse.hh"
 #include "exp/analyze.hh"
 #include "exp/registry.hh"
@@ -315,7 +316,7 @@ runOne(const Cli& cli)
         core::ArtifactWriter art("", store.metricsPath(s->id));
         exp::LaunchResult res =
             exp::launch(s->launchSpec(), &art, s->id);
-        art.write();
+        bool wrote = art.write();
         rec.setReport(res.report);
         if (!res.note.empty())
             std::printf("%s\n", res.note.c_str());
@@ -328,6 +329,10 @@ runOne(const Cli& cli)
             rec.status = exp::RunStatus::Fail;
             rec.error = std::to_string(rec.shapeViolations) +
                         " shape band violation(s)";
+        }
+        if (!wrote) {
+            rec.status = exp::RunStatus::Fail;
+            rec.error = "cannot write " + store.metricsPath(s->id);
         }
     } catch (const audit::AuditError& e) {
         rec.status = exp::RunStatus::Fail;
@@ -358,9 +363,13 @@ runOne(const Cli& cli)
                 prof::phaseName(static_cast<prof::Phase>(i)),
                 hp.phase[i].sec);
         }
-        std::ofstream hos(store.hostprofPath(s->id));
-        if (hos)
-            prof::writeManifest(hos, hp);
+        const std::string hpPath = store.hostprofPath(s->id);
+        if (!core::writeFileChecked(hpPath, [&](std::ostream& os) {
+                prof::writeManifest(os, hp);
+            })) {
+            rec.status = exp::RunStatus::Fail;
+            rec.error = "cannot write " + hpPath;
+        }
         // Coverage self-audit to stderr -> the scenario's log file.
         std::fprintf(stderr, "%s\n", prof::coverageLine(hp).c_str());
     }
