@@ -4,9 +4,11 @@
 
 #include <sys/resource.h>
 
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <iostream>
 
@@ -287,7 +289,16 @@ writeManifestFile(const std::string& path)
                   << "\n";
         return false;
     }
+    errno = 0;
     writeManifest(os, r);
+    // A full disk shows only at the flush: check the close.
+    os.close();
+    if (!os) {
+        int err = errno;
+        std::cerr << "hostprof: cannot write manifest to " << path << ": "
+                  << (err ? std::strerror(err) : "stream error") << "\n";
+        return false;
+    }
     std::cerr << coverageLine(r) << "\n"
               << "hostprof: manifest written to " << path << "\n";
     return true;

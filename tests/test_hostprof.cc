@@ -14,6 +14,8 @@
  *     paper application on both machines.
  */
 
+#include <unistd.h>
+
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -300,6 +302,26 @@ TEST(HostProfEngine, ManifestStructureIsStable)
     }
     EXPECT_EQ(names.front(), "event_drain");
     EXPECT_EQ(names.back(), "untracked"); // the remainder, last
+}
+
+// The manifest is small enough to sit in the stream buffer until the
+// close, so only a checked close sees a full disk.
+TEST(HostProfEngine, ManifestFileOnFullDiskReportsFailure)
+{
+    if (::access("/dev/full", W_OK) != 0)
+        GTEST_SKIP() << "no /dev/full on this system";
+    prof::resetForTest();
+    prof::enable();
+    exp::launch(smallSpec("em3d", "mp"));
+    testing::internal::CaptureStderr();
+    bool ok = prof::writeManifestFile("/dev/full");
+    std::string err = testing::internal::GetCapturedStderr();
+    prof::resetForTest();
+    EXPECT_FALSE(ok);
+    EXPECT_NE(err.find("cannot write manifest to /dev/full"),
+              std::string::npos)
+        << err;
+    EXPECT_EQ(err.find("written to"), std::string::npos) << err;
 }
 
 TEST(HostProfEngine, EngineRunsHitTheNamedPhases)
