@@ -14,9 +14,9 @@
  *   --trace=FILE      write a Chrome trace-event (catapult) JSON file
  *   --metrics=FILE    write the machine-readable metrics manifest
  *   --host-prof=FILE  write the wwtcmp.hostprof/1 host-time profile
- *                     at exit (simulated results are byte-identical
- *                     with the profiler on or off; see
- *                     docs/performance.md "Host-time profile")
+ *                     (simulated results are byte-identical with the
+ *                     profiler on or off; see docs/performance.md
+ *                     "Host-time profile")
  *   --no-fast-hit     disable the fast-hit filter (bit-identical
  *                     either way; exists for the CI identity gate)
  *   --check-shapes    check measured ratios against the golden-shape
@@ -28,9 +28,10 @@
  * exit with status 2 and a diagnostic instead of silently running a
  * 0-processor machine. Drivers feed each run into the ArtifactWriter
  * returned by artifacts(): attach() before running, addRun() after
- * collecting the report, write() once at the end. Shape-checking
- * drivers obtain a gate via shapeGate(), record() their ratios, and
- * return finishShapes() from main.
+ * collecting the report, then writeArtifacts() once at the end; a
+ * driver whose artifacts could not all be written exits 1.
+ * Shape-checking drivers obtain a gate via shapeGate(), record()
+ * their ratios, and fold finishShapes() into that exit status.
  */
 
 #include <cstdio>
@@ -109,11 +110,10 @@ parseArgs(int argc, char** argv)
             std::exit(2);
         }
     }
-    // Arm the profiler here so every bench driver honors the flag
-    // without touching its exit paths; the manifest (and the coverage
-    // self-audit line, on stderr) appear at process exit.
+    // Arm the profiler here so every bench driver honors the flag;
+    // writeArtifacts() writes the manifest.
     if (!o.hostProfFile.empty())
-        prof::enableWithManifestAtExit(o.hostProfFile);
+        prof::enable();
     return o;
 }
 
@@ -148,6 +148,21 @@ inline core::ArtifactWriter
 artifacts(const Options& o)
 {
     return core::ArtifactWriter(o.traceFile, o.metricsFile);
+}
+
+/**
+ * Write every artifact the flags asked for: the --metrics and --trace
+ * files, then the --host-prof manifest (its coverage self-audit line
+ * goes to stderr). Each failure names its file on stderr.
+ * @return false if any write failed; the driver must then exit 1.
+ */
+inline bool
+writeArtifacts(const Options& o, const core::ArtifactWriter& art)
+{
+    bool ok = art.write();
+    if (!o.hostProfFile.empty())
+        ok = prof::writeManifestFile(o.hostProfFile) && ok;
+    return ok;
 }
 
 /** The paper's machine (Tables 1-3), sized by the options. */

@@ -71,6 +71,5 @@ main(int argc, char** argv)
     note("gap 0 = the paper's assumption; ~30 approximates a CM-5 "
          "link. If the rows barely move, the paper's no-contention "
          "simplification was safe for these programs.");
-    art.write();
-    return 0;
+    return writeArtifacts(o, art) ? 0 : 1;
 }

@@ -108,6 +108,5 @@ main(int argc, char** argv)
          "equivalently with EM3D-MP'. Target shape: with the working "
          "set resident, SM-update collapses the misses and approaches "
          "MP.");
-    art.write();
-    return 0;
+    return writeArtifacts(o, art) ? 0 : 1;
 }

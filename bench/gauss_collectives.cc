@@ -65,12 +65,13 @@ main(int argc, char** argv)
                                                  : "Lop-sided",
                     t.depth(), t.children(0).size());
     }
-    art.write();
+    bool wrote = writeArtifacts(o, art);
 
     // The reproduction target is the ordering flat > binary > lop;
     // the bands keep the ratios from silently collapsing toward 1.
     audit::ShapeGate gate = shapeGate(o, "gauss_collectives");
     gate.record("flat_over_binary", rows[0].comm / rows[1].comm);
     gate.record("binary_over_lop", rows[1].comm / rows[2].comm);
-    return finishShapes(gate);
+    int rc = finishShapes(gate);
+    return wrote ? rc : 1;
 }

@@ -151,6 +151,6 @@ main(int argc, char** argv)
     }
 
     std::printf("\n%d mismatches\n", failures);
-    art.write();
-    return failures == 0 ? 0 : 1;
+    bool wrote = writeArtifacts(o, art);
+    return failures == 0 && wrote ? 0 : 1;
 }

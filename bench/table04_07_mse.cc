@@ -76,7 +76,7 @@ main(int argc, char** argv)
                             .c_str());
     printPair("MSE", mp_rep, sm_rep);
     note("Paper: MP at 98% of SM; computation >= 82% on both.");
-    art.write();
+    bool wrote = writeArtifacts(o, art);
 
     audit::ShapeGate gate = shapeGate(o, "mse");
     gate.record("mp_over_sm", rel_mp);
@@ -86,5 +86,6 @@ main(int argc, char** argv)
     gate.record("sm_comp_share",
                 sm_rep.cycles(stats::Category::Computation) /
                     sm_rep.totalCycles());
-    return finishShapes(gate);
+    int rc = finishShapes(gate);
+    return wrote ? rc : 1;
 }

@@ -77,7 +77,7 @@ main(int argc, char** argv)
          "SM pays ~23% in contended shared misses.");
     std::printf("SM directory queueing delay: %.1fK cycles total\n",
                 smm.protocol().queueDelay() / 1e3);
-    art.write();
+    bool wrote = writeArtifacts(o, art);
 
     audit::ShapeGate gate = shapeGate(o, "gauss");
     gate.record("mp_over_sm", rel);
@@ -92,5 +92,6 @@ main(int argc, char** argv)
     gate.record("sm_barrier_share",
                 sm_rep.cycles(stats::Category::Barrier, 1) /
                     sm_rep.totalCycles(1));
-    return finishShapes(gate);
+    int rc = finishShapes(gate);
+    return wrote ? rc : 1;
 }

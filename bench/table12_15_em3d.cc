@@ -75,7 +75,7 @@ main(int argc, char** argv)
     printPair("EM3D", mp_rep, sm_rep);
     note("Paper: EM3D-MP at 50% of EM3D-SM (the one decisive win for "
          "message passing).");
-    art.write();
+    bool wrote = writeArtifacts(o, art);
 
     audit::ShapeGate gate = shapeGate(o, "em3d");
     gate.record("mp_over_sm",
@@ -87,5 +87,6 @@ main(int argc, char** argv)
                  sm_rep.cycles(stats::Category::WriteFault, 1) +
                  sm_rep.cycles(stats::Category::TlbMiss, 1)) /
                     sm_main);
-    return finishShapes(gate);
+    int rc = finishShapes(gate);
+    return wrote ? rc : 1;
 }

@@ -88,7 +88,7 @@ main(int argc, char** argv)
 
     note("Paper: main loop 130.0M baseline; 61.0M with 1 MB cache; "
          "86.3M with local allocation (remote misses 97% -> 10%).");
-    art.write();
+    bool wrote = writeArtifacts(o, art);
 
     audit::ShapeGate gate = shapeGate(o, "em3d_ablation");
     gate.record("big_cache_over_baseline",
@@ -99,5 +99,6 @@ main(int argc, char** argv)
                 remoteMissShare(base_rep));
     gate.record("local_alloc_remote_miss_share",
                 remoteMissShare(local_rep));
-    return finishShapes(gate);
+    int rc = finishShapes(gate);
+    return wrote ? rc : 1;
 }

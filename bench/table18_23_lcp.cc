@@ -121,7 +121,7 @@ main(int argc, char** argv)
     printPair("ALCP async", reps[1][0], reps[1][1]);
     note("Paper: sync MP at 86% of SM; async variants take fewer "
          "steps, move ~4x the data, and run slower overall.");
-    art.write();
+    bool wrote = writeArtifacts(o, art);
 
     audit::ShapeGate gate = shapeGate(o, "lcp");
     gate.record("sync_mp_over_sm", reps[0][0].totalCycles(1) /
@@ -135,5 +135,6 @@ main(int argc, char** argv)
                                     async_c.bytesCtrl) /
                     static_cast<double>(sync_c.bytesData +
                                         sync_c.bytesCtrl));
-    return finishShapes(gate);
+    int rc = finishShapes(gate);
+    return wrote ? rc : 1;
 }

@@ -13,10 +13,12 @@
  * --no-fast-hit disables the fast-hit filter in front of the cache/TLB
  * model; results are bit-identical either way (CI enforces it — see
  * docs/performance.md), the flag exists for that gate and debugging.
- * --host-prof writes a wwtcmp.hostprof/1 host-time profile at exit
- * (which host-side phase the wall time went to); the simulated
- * results and stdout are byte-identical with it on or off — CI gates
- * that too. See docs/performance.md, "Host-time profile".
+ * --host-prof writes a wwtcmp.hostprof/1 host-time profile (which
+ * host-side phase the wall time went to); the simulated results and
+ * stdout are byte-identical with it on or off — CI gates that too.
+ * See docs/performance.md, "Host-time profile". The artifacts are
+ * written before main returns; if any of them cannot be written, the
+ * diagnostic names the file and the exit status is 1.
  *
  * This is a thin client of the experiment layer: app dispatch lives
  * in the exp registry (src/exp/registry.hh), shared with the
@@ -159,7 +161,7 @@ main(int argc, char** argv)
     if (!parse(argc, argv, c))
         return 2;
     if (!c.hostProfFile.empty())
-        prof::enableWithManifestAtExit(c.hostProfFile);
+        prof::enable();
 
     exp::LaunchSpec spec;
     spec.app = c.app;
@@ -206,5 +208,8 @@ main(int argc, char** argv)
         core::histogramTable("Latency histograms", res.report);
     if (!hist.empty())
         std::printf("%s\n", hist.c_str());
-    return art.write() ? 0 : 1;
+    bool ok = art.write();
+    if (!c.hostProfFile.empty())
+        ok = prof::writeManifestFile(c.hostProfFile) && ok;
+    return ok ? 0 : 1;
 }

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "audit/shapes.hh"
+#include "core/metrics.hh"
 #include "exp/store.hh"
 #include "stats/category.hh"
 #include "trace/histogram.hh"
@@ -1132,13 +1133,12 @@ analyzeCampaign(const std::string& dir, const AnalyzeOptions& opts,
     }
 
     if (!opts.jsonPath.empty()) {
-        std::ofstream jf(opts.jsonPath);
-        if (!jf) {
-            std::fprintf(stderr, "cannot write %s\n", opts.jsonPath.c_str());
+        // A failure is named on stderr by writeFileChecked.
+        if (!core::writeFileChecked(opts.jsonPath, [&](std::ostream& jf) {
+                writeAnalysisJson(jf, dir, opts, scenarios,
+                                  have_attr ? &attr : nullptr);
+            }))
             return 2;
-        }
-        writeAnalysisJson(jf, dir, opts, scenarios,
-                          have_attr ? &attr : nullptr);
         // Status goes to stderr: the analysis stream must not depend
         // on where the JSON copy landed (byte-determinism).
         std::fprintf(stderr, "analysis written to %s\n",

@@ -6,8 +6,6 @@
  *                   [--jobs N] [--timeout S] [--retries N]
  *                   [--chaos-kill ID] [--chaos-write-kill ID]
  *                   [--host-prof] [--cache DIR]...
- *                   [--workers A,B,..] [--worker A]
- *                   [--lease-timeout S]
  *   wwtcmp_campaign resume <campaign.json> [same flags]
  *   wwtcmp_campaign list <campaign.json> [--profile P]
  *   wwtcmp_campaign report <dir> [--format text|json|csv]
@@ -40,11 +38,6 @@
  *    index: scenarios whose config hash already has a passing record
  *    anywhere (own store included) are adopted as cache-hit records
  *    with provenance instead of being re-executed.
- *  - `--workers a,b --worker a` runs this process as one of several
- *    cooperating runners sharing the store directory: scenarios are
- *    sharded by config hash, claims are lease files with heartbeats
- *    (svc/lease.hh), and a dead worker's claims re-issue after
- *    `--lease-timeout` seconds.
  *  - `serve` renders the read-side dashboard (svc/dashboard.hh), a
  *    static tree that any file host can publish.
  */
@@ -60,8 +53,6 @@
 #include <fstream>
 #include <iostream>
 #include <optional>
-#include <set>
-#include <sstream>
 #include <thread>
 
 #include "audit/check.hh"
@@ -76,7 +67,6 @@
 #include "prof/hostprof.hh"
 #include "svc/cache_index.hh"
 #include "svc/dashboard.hh"
-#include "svc/lease.hh"
 
 using namespace wwt;
 
@@ -96,8 +86,6 @@ usage(const char* msg = nullptr)
         "[--chaos-kill ID] [--host-prof]\n"
         "                              [--chaos-write-kill ID] "
         "[--cache DIR]...\n"
-        "                              [--workers A,B,..] [--worker A] "
-        "[--lease-timeout S]\n"
         "       wwtcmp_campaign resume <campaign.json> [same flags]\n"
         "       wwtcmp_campaign list   <campaign.json> [--profile P]\n"
         "       wwtcmp_campaign report <dir> [--format text|json|csv]\n"
@@ -141,9 +129,6 @@ struct Cli {
     exp::AnalyzeOptions analyze;
     // Service mode (run/resume).
     std::vector<std::string> cacheDirs; ///< --cache DIR (repeatable)
-    std::vector<std::string> workers;   ///< --workers a,b,c
-    std::string workerName;             ///< --worker a
-    double leaseTimeoutSec = 30;        ///< --lease-timeout S
     std::string chaosWriteKillId;       ///< die mid-publish once
     // serve
     std::string outDir = "dashboard";
@@ -230,27 +215,6 @@ parseCli(int argc, char** argv, Cli& c)
                 "--skew-band", value("--skew-band"));
         } else if (!std::strcmp(argv[i], "--cache")) {
             c.cacheDirs.push_back(value("--cache"));
-        } else if (!std::strcmp(argv[i], "--workers")) {
-            std::string csv = value("--workers");
-            std::string name;
-            std::istringstream ss(csv);
-            while (std::getline(ss, name, ',')) {
-                if (!name.empty())
-                    c.workers.push_back(name);
-            }
-            if (c.workers.empty()) {
-                std::fprintf(stderr,
-                             "error: --workers expects a comma-"
-                             "separated worker list, got '%s'\n",
-                             csv.c_str());
-                std::exit(2);
-            }
-        } else if (!std::strcmp(argv[i], "--worker")) {
-            c.workerName = value("--worker");
-        } else if (!std::strcmp(argv[i], "--lease-timeout")) {
-            c.leaseTimeoutSec = static_cast<double>(core::requireCount(
-                "--lease-timeout", value("--lease-timeout"), 1,
-                86400));
         } else if (!std::strcmp(argv[i], "--chaos-write-kill")) {
             c.chaosWriteKillId = value("--chaos-write-kill");
         } else if (!std::strcmp(argv[i], "--out")) {
@@ -298,8 +262,6 @@ runOne(const Cli& cli)
     }
 
     exp::Store store(cli.dir);
-    if (!cli.workerName.empty())
-        store.setWorker(cli.workerName);
     exp::RunRecord rec;
     rec.scenario = s->id;
     rec.configHash = s->configHash();
@@ -413,29 +375,7 @@ runCampaign(const Cli& cli, const char* argv0, bool resume)
 
     exp::Store store(cli.dir.empty() ? defaultDir(campaign) : cli.dir);
 
-    // Cooperating-worker mode: several runner processes share the
-    // store; each appends to its own shard file and claims scenarios
-    // through leases. Worker mode always has resume semantics — the
-    // other workers' records ARE previous results.
-    bool cooperative = !cli.workers.empty() || !cli.workerName.empty();
-    if (cooperative) {
-        if (cli.workers.empty() || cli.workerName.empty()) {
-            std::fprintf(stderr, "error: --workers and --worker go "
-                                 "together\n");
-            return 2;
-        }
-        if (std::find(cli.workers.begin(), cli.workers.end(),
-                      cli.workerName) == cli.workers.end()) {
-            std::fprintf(stderr,
-                         "error: --worker '%s' is not in the "
-                         "--workers list\n",
-                         cli.workerName.c_str());
-            return 2;
-        }
-        store.setWorker(cli.workerName);
-    }
-
-    if (!resume && !cooperative && store.exists()) {
+    if (!resume && store.exists()) {
         std::fprintf(stderr,
                      "error: %s already holds results; use 'resume' "
                      "to continue it or point --dir at a fresh "
@@ -447,8 +387,8 @@ runCampaign(const Cli& cli, const char* argv0, bool resume)
 
     // Apply CLI overrides and split into skip/run lists.
     std::map<std::string, exp::RunRecord> latest =
-        resume || cooperative ? store.loadLatest()
-                              : std::map<std::string, exp::RunRecord>{};
+        resume ? store.loadLatest()
+               : std::map<std::string, exp::RunRecord>{};
     std::vector<exp::Scenario> todo;
     std::size_t skipped = 0;
     for (exp::Scenario s : campaign.scenarios) {
@@ -456,7 +396,7 @@ runCampaign(const Cli& cli, const char* argv0, bool resume)
             s.timeoutSec = cli.timeoutOverride;
         if (cli.retriesOverride >= 0)
             s.retries = cli.retriesOverride;
-        if ((resume || cooperative) && store.satisfiedBy(latest, s)) {
+        if (resume && store.satisfiedBy(latest, s)) {
             ++skipped;
             continue;
         }
@@ -494,7 +434,7 @@ runCampaign(const Cli& cli, const char* argv0, bool resume)
     }
 
     // Content-addressed cache: every passing record already in this
-    // store (any shard) or in a --cache store proves its config hash
+    // store or in a --cache store proves its config hash
     // and is adopted instead of re-executed.
     svc::CacheIndex cache;
     cache.addStore(store.dir());
@@ -506,7 +446,6 @@ runCampaign(const Cli& cli, const char* argv0, bool resume)
     std::size_t cachedCount = 0;
     int failures = 0;
     std::size_t abandoned = 0; ///< .partial records of dead children
-    exp::RunnerStats stats;
     std::size_t total = todo.size();
 
     // Adopt a proven record for s, if the cache holds one.
@@ -592,10 +531,6 @@ runCampaign(const Cli& cli, const char* argv0, bool resume)
             "--profile",  cli.profile,  "--scenario",
             s.id,         "--dir",      store.dir(),
         };
-        if (cooperative) {
-            cmd.push_back("--worker");
-            cmd.push_back(cli.workerName);
-        }
         if (attempt == 1 && s.id == cli.chaosWriteKillId)
             cmd.push_back("--chaos-die-writing");
         if (cli.hostProf)
@@ -621,95 +556,13 @@ runCampaign(const Cli& cli, const char* argv0, bool resume)
                      s.id.c_str(), attempt);
     };
 
-    if (!cooperative) {
-        std::vector<exp::Scenario> batch;
-        for (const exp::Scenario& s : todo) {
-            if (!tryCache(s))
-                batch.push_back(s);
-        }
-        exp::Runner runner(ropts, command);
-        stats = runner.run(batch, onDone, logPath);
-    } else {
-        // Cooperative loop: claim own-shard scenarios first; foreign
-        // scenarios only once their lease is stale (their worker is
-        // presumed dead) or absent after a startup grace period of
-        // one lease timeout (their worker never arrived).
-        std::vector<std::string> names = cli.workers;
-        std::sort(names.begin(), names.end());
-        names.erase(std::unique(names.begin(), names.end()),
-                    names.end());
-        std::size_t self = static_cast<std::size_t>(
-            std::find(names.begin(), names.end(), cli.workerName) -
-            names.begin());
-        auto shardOf = [&](const exp::Scenario& s) {
-            return static_cast<std::size_t>(
-                       std::stoull(s.configHash(), nullptr, 16)) %
-                   names.size();
-        };
-        std::stable_partition(todo.begin(), todo.end(),
-                              [&](const exp::Scenario& s) {
-                                  return shardOf(s) == self;
-                              });
-
-        svc::LeaseDir leases(store.leasesDir(), cli.workerName,
-                             cli.leaseTimeoutSec);
-        double lastBeat = svc::LeaseDir::now();
-        ropts.tick = [&]() {
-            double now = svc::LeaseDir::now();
-            if (now - lastBeat > cli.leaseTimeoutSec / 4) {
-                leases.heartbeat();
-                lastBeat = now;
-            }
-        };
-
-        double start = svc::LeaseDir::now();
-        for (;;) {
-            std::map<std::string, exp::RunRecord> fold =
-                store.loadLatest();
-            std::vector<exp::Scenario> batch;
-            bool unresolved = false;
-            for (const exp::Scenario& s : todo) {
-                if (fold.count(s.id))
-                    continue; // some worker recorded a terminal state
-                unresolved = true;
-                bool mine = shardOf(s) == self;
-                if (!mine) {
-                    svc::LeaseDir::Info info = leases.read(s.id);
-                    bool grace = svc::LeaseDir::now() - start <
-                                 cli.leaseTimeoutSec;
-                    if (!info.exists && grace)
-                        continue; // its worker may still arrive
-                    if (info.exists && !leases.stale(info) &&
-                        info.owner != cli.workerName)
-                        continue; // its worker is alive
-                }
-                if (!leases.acquire(s.id))
-                    continue;
-                if (tryCache(s)) {
-                    leases.release(s.id);
-                    continue;
-                }
-                batch.push_back(s);
-            }
-            if (batch.empty()) {
-                if (!unresolved)
-                    break; // every scenario has a terminal record
-                std::this_thread::sleep_for(
-                    std::chrono::milliseconds(200));
-                continue;
-            }
-            exp::Runner runner(ropts, command);
-            exp::RunnerStats bs =
-                runner.run(batch,
-                           [&](const exp::Scenario& s,
-                               const exp::ChildOutcome& out) {
-                               onDone(s, out);
-                               leases.release(s.id);
-                           },
-                           logPath);
-            stats.spawns += bs.spawns;
-        }
+    std::vector<exp::Scenario> batch;
+    for (const exp::Scenario& s : todo) {
+        if (!tryCache(s))
+            batch.push_back(s);
     }
+    exp::Runner runner(ropts, command);
+    exp::RunnerStats stats = runner.run(batch, onDone, logPath);
 
     // "ring reclaim(s)" counts abandoned .partial records. The label
     // predates the file handoff; benchmark tooling parses it.

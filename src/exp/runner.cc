@@ -102,9 +102,6 @@ Runner::run(const std::vector<Scenario>& scenarios, DoneFn on_done,
     };
 
     while (finished < slots.size()) {
-        if (opts_.tick)
-            opts_.tick();
-
         // Start work while job slots are free.
         for (Slot& s : slots) {
             if (running >= jobs)

@@ -44,8 +44,6 @@ struct RunnerOptions {
     std::size_t jobs = 1;       ///< concurrent child processes
     double backoffSec = 0.5;    ///< retry delay = backoff * attempt
     std::string chaosKillId;    ///< SIGKILL this scenario's 1st attempt
-    /** Invoked once per scheduler sweep (lease heartbeats etc.). */
-    std::function<void()> tick;
     /** Invoked after each child is reaped, with its attempt number. */
     std::function<void(const Scenario&, int attempt)> reaped;
 };

@@ -4,7 +4,6 @@
 #include <sys/stat.h>
 #include <sys/types.h>
 
-#include <algorithm>
 #include <cctype>
 #include <cerrno>
 #include <cstdio>
@@ -70,6 +69,36 @@ boolOr(const audit::JsonValue& obj, const std::string& key,
     const audit::JsonValue* v = obj.find(key);
     return v && v->kind == audit::JsonValue::Kind::Bool ? v->boolean
                                                         : fallback;
+}
+
+/**
+ * Throw if @p dir holds a results.<worker>.jsonl shard from the
+ * removed sharded-worker mode. Its records would need the old
+ * cross-file fold, so reading results.jsonl alone could report a
+ * scenario's superseded outcome.
+ */
+void
+refuseWorkerShards(const std::string& dir)
+{
+    DIR* d = ::opendir(dir.c_str());
+    if (!d)
+        return;
+    std::string shard;
+    while (const dirent* e = ::readdir(d)) {
+        std::string name = e->d_name;
+        if (name.size() > 14 && name.rfind("results.", 0) == 0 &&
+            name.compare(name.size() - 6, 6, ".jsonl") == 0) {
+            shard = dir + "/" + name;
+            break;
+        }
+    }
+    ::closedir(d);
+    if (!shard.empty())
+        throw std::runtime_error(
+            shard +
+            ": worker shard file; sharded workers (--workers) were "
+            "removed and their stores are no longer read. Re-run the "
+            "campaign into a fresh directory");
 }
 
 } // namespace
@@ -243,26 +272,11 @@ RunRecord::fromJsonLine(const std::string& line)
     return r;
 }
 
-void
-Store::setWorker(const std::string& name)
-{
-    if (name.empty())
-        throw std::runtime_error("worker name must not be empty");
-    for (char c : name) {
-        bool ok = std::isalnum(static_cast<unsigned char>(c)) ||
-                  c == '_' || c == '-';
-        if (!ok)
-            throw std::runtime_error(
-                "worker name \"" + name +
-                "\" must match [A-Za-z0-9_-] (it names a file)");
-    }
-    worker_ = name;
-}
-
 bool
 Store::exists() const
 {
-    return !resultsFiles().empty();
+    struct stat st;
+    return ::stat(resultsPath().c_str(), &st) == 0;
 }
 
 void
@@ -273,35 +287,6 @@ Store::create() const
     makeDir(dir_ + "/metrics");
     makeDir(dir_ + "/hostprof");
     makeDir(dir_ + "/tmp");
-    makeDir(leasesDir());
-}
-
-std::vector<std::string>
-Store::resultsFiles() const
-{
-    // Fold order: the classic single-runner file first, then the
-    // worker shards sorted by name — the precedence order that the
-    // tie rule in the file comment refers to.
-    std::vector<std::string> shards;
-    bool classic = false;
-    if (DIR* d = ::opendir(dir_.c_str())) {
-        while (const dirent* e = ::readdir(d)) {
-            std::string name = e->d_name;
-            if (name == "results.jsonl")
-                classic = true;
-            else if (name.rfind("results.", 0) == 0 &&
-                     name.size() > 14 &&
-                     name.compare(name.size() - 6, 6, ".jsonl") == 0)
-                shards.push_back(dir_ + "/" + name);
-        }
-        ::closedir(d);
-    }
-    std::sort(shards.begin(), shards.end());
-    std::vector<std::string> files;
-    if (classic)
-        files.push_back(dir_ + "/results.jsonl");
-    files.insert(files.end(), shards.begin(), shards.end());
-    return files;
 }
 
 void
@@ -356,10 +341,10 @@ Store::discardPartial(const std::string& id) const
 }
 
 void
-Store::scanResultsFile(
-    const std::string& path,
-    const std::function<void(std::size_t, RunRecord&&)>& cb)
+Store::scan(const std::function<void(std::size_t, RunRecord&&)>& cb) const
 {
+    refuseWorkerShards(dir_);
+    const std::string path = resultsPath();
     std::ifstream in(path);
     if (!in)
         return;
@@ -399,25 +384,9 @@ std::map<std::string, RunRecord>
 Store::loadLatest() const
 {
     std::map<std::string, RunRecord> latest;
-    for (const std::string& file : resultsFiles()) {
-        // Within one file, the last record per id wins (resume
-        // appends supersede). Across files, a pass beats a non-pass
-        // (a re-issued claim that recovered must shadow the dead
-        // worker's timeout) and ties keep the earliest file in fold
-        // order — deterministic regardless of scan interleaving.
-        std::map<std::string, RunRecord> mine;
-        scanResultsFile(file, [&](std::size_t, RunRecord&& r) {
-            mine.insert_or_assign(r.scenario, std::move(r));
-        });
-        for (auto& [id, rec] : mine) {
-            auto it = latest.find(id);
-            if (it == latest.end())
-                latest.emplace(id, std::move(rec));
-            else if (it->second.status != RunStatus::Pass &&
-                     rec.status == RunStatus::Pass)
-                it->second = std::move(rec);
-        }
-    }
+    scan([&](std::size_t, RunRecord&& r) {
+        latest.insert_or_assign(r.scenario, std::move(r));
+    });
     return latest;
 }
 

@@ -14,8 +14,6 @@
  *                         (only when the campaign ran --host-prof)
  *   <dir>/tmp/            in-flight records only: <id>.partial while
  *                         a child writes, <id>.json once it published
- *   <dir>/leases/         scenario leases for cooperating workers
- *                         (svc/lease.hh; empty in single-runner mode)
  *
  * Records (schema "wwtcmp.campaign-record/1") carry the scenario id,
  * the scenario's config hash, the scenario's config key/value pairs
@@ -30,17 +28,16 @@
  * write-then-rename (publishRecord); the parent takes it after reaping
  * the child (takeRecord) and validates it before adopting it. A
  * <id>.partial left after a reap means the child died mid-publish;
- * it is never read, only discarded (discardPartial). In
- * multi-worker mode (`--workers`) every cooperating runner keeps the
- * same invariant by appending to its own shard file,
- * results.<worker>.jsonl; readers fold *all* results files. Within
- * one file the *last* record per scenario id wins (resume semantics);
- * across files a passing record beats a non-passing one and ties keep
- * the earliest file in fold order (results.jsonl first, then worker
- * shards sorted by name) — a re-issued claim that
- * eventually passed must win over the dead worker's timeout, and a
- * benign duplicate execution (lease-steal race) carries bit-identical
- * results either way, the simulator being deterministic.
+ * it is never read, only discarded (discardPartial). Every reader
+ * folds the one results file by one rule: the *last* record per
+ * scenario id wins (resume appends supersede).
+ *
+ * Stores written by the removed sharded workers may also hold
+ * results.<worker>.jsonl shard files. Their records cannot be folded
+ * into results.jsonl without the old cross-file rules, so scan()
+ * refuses such a store with an error naming the shard rather than
+ * silently reading half of it. A leftover leases/ directory is
+ * ignored.
  *
  * A *trailing* malformed line (the process died mid-append, the disk
  * filled) is tolerated with a warning and skipped; a malformed line
@@ -137,23 +134,14 @@ class Store
 
     const std::string& dir() const { return dir_; }
 
-    /**
-     * Cooperating-worker mode: this process appends to its own shard
-     * file, results.<name>.jsonl, keeping the single-writer-per-file
-     * invariant. @p name must be [A-Za-z0-9_-].
-     * @throws std::runtime_error on an unsafe name.
-     */
-    void setWorker(const std::string& name);
-    const std::string& worker() const { return worker_; }
-
-    /** True if the directory already holds any results file. */
+    /** True if the directory already holds results.jsonl. */
     bool exists() const;
 
     /** Create the directory layout (idempotent).
      *  @throws std::runtime_error when a directory cannot be made. */
     void create() const;
 
-    /** Append one validated record (this process's shard only).
+    /** Append one validated record to results.jsonl.
      *  @throws std::runtime_error when the line cannot be written
      *  (full disk included). */
     void append(const RunRecord& rec) const;
@@ -178,29 +166,22 @@ class Store
     bool discardPartial(const std::string& id) const;
 
     /**
-     * Load every results file folded to the latest record per
-     * scenario id (fold rules in the file comment above). Returns an
-     * empty map when no results file exists. A malformed *final* line
-     * of any file (interrupted append) is skipped with a warning on
-     * stderr; a malformed line anywhere earlier is corruption.
-     * @throws std::runtime_error on an interior malformed line.
+     * Scan results.jsonl in line order, invoking @p cb with the
+     * 1-based line number and each parsed record; a missing file
+     * scans nothing. A malformed *final* line (interrupted append) is
+     * skipped with a warning on stderr; a malformed line anywhere
+     * earlier is corruption. Every reader (loadLatest, svc::CacheIndex)
+     * goes through here, so all of them accept exactly the same store
+     * states.
+     * @throws std::runtime_error on an interior malformed line, or
+     *         when the store holds a worker shard file (file comment).
      */
+    void scan(const std::function<void(std::size_t, RunRecord&&)>& cb)
+        const;
+
+    /** scan() folded to the latest record per scenario id; empty
+     *  when there is no results file. Same errors as scan(). */
     std::map<std::string, RunRecord> loadLatest() const;
-
-    /** Every existing results file of this store, sorted by name
-     *  (results.jsonl first, then the worker shards). */
-    std::vector<std::string> resultsFiles() const;
-
-    /**
-     * Scan one results file in line order, invoking @p cb with the
-     * 1-based line number and each parsed record. Same malformed-line
-     * policy as loadLatest(). Shared with svc::CacheIndex so every
-     * reader tolerates exactly the same store states.
-     */
-    static void
-    scanResultsFile(const std::string& path,
-                    const std::function<void(std::size_t, RunRecord&&)>&
-                        cb);
 
     /**
      * True when @p s can be skipped on resume: its latest record
@@ -209,14 +190,7 @@ class Store
     bool satisfiedBy(const std::map<std::string, RunRecord>& latest,
                      const Scenario& s) const;
 
-    /** The file *this* process appends to (worker-aware). */
-    std::string resultsPath() const
-    {
-        return worker_.empty() ? dir_ + "/results.jsonl"
-                               : dir_ + "/results." + worker_ +
-                                     ".jsonl";
-    }
-    std::string leasesDir() const { return dir_ + "/leases"; }
+    std::string resultsPath() const { return dir_ + "/results.jsonl"; }
     std::string logPath(const std::string& id) const
     {
         return dir_ + "/logs/" + id + ".log";
@@ -225,16 +199,15 @@ class Store
     {
         return dir_ + "/metrics/" + id + ".json";
     }
-    /** Published record of @p id. Worker mode adds ".<worker>", so
-     *  a duplicate execution on another worker never shares it. */
+    /** Published record of @p id. */
     std::string tmpRecordPath(const std::string& id) const
     {
-        return tmpStem(id) + ".json";
+        return dir_ + "/tmp/" + id + ".json";
     }
     /** The same record while its child is still writing it. */
     std::string tmpPartialPath(const std::string& id) const
     {
-        return tmpStem(id) + ".partial";
+        return dir_ + "/tmp/" + id + ".partial";
     }
     std::string hostprofPath(const std::string& id) const
     {
@@ -242,14 +215,7 @@ class Store
     }
 
   private:
-    std::string tmpStem(const std::string& id) const
-    {
-        return dir_ + "/tmp/" + id +
-               (worker_.empty() ? "" : "." + worker_);
-    }
-
     std::string dir_;
-    std::string worker_; ///< empty = classic single-runner mode
 };
 
 } // namespace wwt::exp

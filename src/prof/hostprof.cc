@@ -7,7 +7,6 @@
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -37,15 +36,13 @@ using detail::tickNow;
 struct State {
     std::uint64_t t0Tick = 0; // calibration anchor at enable()
     std::chrono::steady_clock::time_point t0Steady{};
-    std::string atexitPath;
-    bool atexitRegistered = false;
 };
 
 State&
 state()
 {
-    static State* s = new State; // leaked: read by the atexit writer
-    return *s;
+    static State s;
+    return s;
 }
 
 void
@@ -68,14 +65,6 @@ sampledParent(Phase p)
       case Phase::Net: return Phase::EventDrain;
       default: return Phase::Untracked;
     }
-}
-
-void
-atexitWriter()
-{
-    const std::string& path = state().atexitPath;
-    if (!path.empty())
-        writeManifestFile(path);
 }
 
 } // namespace
@@ -131,18 +120,6 @@ enable()
         g_shard.start = g_shard.last = tickNow();
         g_shard.live = true;
     }
-}
-
-void
-enableWithManifestAtExit(const std::string& path)
-{
-    State& s = state();
-    s.atexitPath = path;
-    if (!s.atexitRegistered) {
-        s.atexitRegistered = true;
-        std::atexit(atexitWriter);
-    }
-    enable();
 }
 
 void
@@ -309,7 +286,6 @@ resetForTest()
 {
     disable();
     g_shard = Shard{};
-    state().atexitPath.clear();
     detail::g_samplePeriod = kDefaultSamplePeriod;
 }
 

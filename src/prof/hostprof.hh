@@ -123,9 +123,7 @@ tickNow()
 
 /**
  * The accumulator. `acc` sums to exactly `last - start` after every
- * flush, so coverage is well-defined by construction. Trivially
- * destructible, so the atexit manifest writer can still read it
- * after static destructors start running.
+ * flush, so coverage is well-defined by construction.
  */
 struct Shard {
     std::uint64_t acc[kNumPhases] = {};
@@ -164,14 +162,6 @@ currentPhase()
  * measured window. Idempotent.
  */
 void enable();
-
-/**
- * enable(), plus an atexit hook that writes the wwtcmp.hostprof/1
- * manifest to @p path and prints the coverage self-audit line to
- * stderr when the process exits. This is how bench drivers and
- * run_app honor --host-prof without restructuring their exit paths.
- */
-void enableWithManifestAtExit(const std::string& path);
 
 /** Stop accounting (scopes become no-ops). Accumulators survive. */
 void disable();

@@ -7,30 +7,26 @@ void
 CacheIndex::addStore(const std::string& dir)
 {
     exp::Store store(dir);
-    for (const std::string& file : store.resultsFiles()) {
-        exp::Store::scanResultsFile(
-            file, [&](std::size_t line, exp::RunRecord&& rec) {
-                if (rec.status != exp::RunStatus::Pass ||
-                    rec.configHash.empty())
-                    return;
-                // Materialize the key before moving rec: emplace's
-                // argument evaluation order is unspecified, so the
-                // CacheHit move could gut rec.configHash first.
-                std::string key = rec.configHash;
-                auto it = byHash_.find(key);
-                if (it == byHash_.end()) {
-                    byHash_.emplace(std::move(key),
-                                    CacheHit{std::move(rec), file, line});
-                    return;
-                }
-                // An executed record supersedes a cache-hit copy so
-                // provenance always points one hop to a real run;
-                // otherwise first-found wins (deterministic: fold
-                // order, then line order).
-                if (it->second.record.cached && !rec.cached)
-                    it->second = CacheHit{std::move(rec), file, line};
-            });
-    }
+    const std::string file = store.resultsPath();
+    store.scan([&](std::size_t line, exp::RunRecord&& rec) {
+        if (rec.status != exp::RunStatus::Pass || rec.configHash.empty())
+            return;
+        // Materialize the key before moving rec: emplace's argument
+        // evaluation order is unspecified, so the CacheHit move could
+        // gut rec.configHash first.
+        std::string key = rec.configHash;
+        auto it = byHash_.find(key);
+        if (it == byHash_.end()) {
+            byHash_.emplace(std::move(key),
+                            CacheHit{std::move(rec), file, line});
+            return;
+        }
+        // An executed record supersedes a cache-hit copy so provenance
+        // always points one hop to a real run; otherwise first-found
+        // wins (deterministic: store order, then line order).
+        if (it->second.record.cached && !rec.cached)
+            it->second = CacheHit{std::move(rec), file, line};
+    });
 }
 
 const CacheHit*

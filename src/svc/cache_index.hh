@@ -45,7 +45,7 @@ namespace wwt::svc
 /** Where a proven record lives. */
 struct CacheHit {
     exp::RunRecord record;  ///< the proven passing record, verbatim
-    std::string sourceFile; ///< results file holding it
+    std::string sourceFile; ///< results.jsonl holding it
     std::uint64_t line = 0; ///< 1-based line within sourceFile
 };
 
@@ -54,9 +54,10 @@ class CacheIndex
 {
   public:
     /**
-     * Fold every results file of the store at @p dir into the index.
-     * Unreadable stores are simply empty; corrupt interior lines
-     * throw (same policy as Store::loadLatest).
+     * Fold the results file of the store at @p dir into the index.
+     * Unreadable stores are simply empty; corrupt interior lines and
+     * worker shard files throw (Store::scan, the same policy as
+     * Store::loadLatest).
      */
     void addStore(const std::string& dir);
 

@@ -12,6 +12,7 @@
 #include <sstream>
 
 #include "audit/shapes.hh"
+#include "core/metrics.hh"
 #include "exp/analyze.hh"
 #include "exp/report.hh"
 #include "exp/store.hh"
@@ -63,16 +64,15 @@ fmt(const char* format, double v)
     return buf;
 }
 
+/** Write @p body to @p path, checking the close (a full disk shows
+ *  only there); the failure diagnostic goes to stderr. */
 bool
 writeFile(const std::string& path, const std::string& body,
           std::ostream& log)
 {
-    std::ofstream os(path, std::ios::binary | std::ios::trunc);
-    if (!os) {
-        log << "serve: cannot write " << path << "\n";
+    if (!core::writeFileChecked(path,
+                                [&](std::ostream& os) { os << body; }))
         return false;
-    }
-    os << body;
     log << "serve: wrote " << path << "\n";
     return true;
 }

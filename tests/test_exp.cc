@@ -440,16 +440,6 @@ TEST(Store, PublishTakeRoundTrip)
     // Taking removes the file: a record is handed back once.
     EXPECT_FALSE(fileExists(store.tmpRecordPath("a")));
     EXPECT_FALSE(store.takeRecord("a").has_value());
-
-    // Worker mode names the files per worker, so two workers that
-    // run the same scenario never share them.
-    exp::Store w(store.dir());
-    w.setWorker("w1");
-    EXPECT_NE(w.tmpRecordPath("a"), store.tmpRecordPath("a"));
-    EXPECT_NE(w.tmpPartialPath("a"), store.tmpPartialPath("a"));
-    w.publishRecord("a", "mine");
-    EXPECT_FALSE(store.takeRecord("a").has_value());
-    EXPECT_EQ(w.takeRecord("a").value_or(""), "mine");
 }
 
 TEST(Store, PartialRecordIsNeverTaken)

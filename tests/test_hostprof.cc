@@ -12,10 +12,15 @@
  *  3. Observation does not perturb the experiment: simulated metrics
  *     are byte-identical with the profiler on or off, for every
  *     paper application on both machines.
+ *
+ * Plus the artifact exit path: a manifest that cannot be written
+ * fails the process that was asked for it.
  */
 
+#include <sys/wait.h>
 #include <unistd.h>
 
+#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -322,6 +327,53 @@ TEST(HostProfEngine, ManifestFileOnFullDiskReportsFailure)
               std::string::npos)
         << err;
     EXPECT_EQ(err.find("written to"), std::string::npos) << err;
+}
+
+/** Run @p cmd with stdout discarded; its stderr lands in @p err. */
+int
+runCapturingStderr(const std::string& cmd, std::string& err)
+{
+    FILE* p = ::popen((cmd + " 2>&1 >/dev/null").c_str(), "r");
+    if (!p)
+        return -1;
+    char buf[4096];
+    err.clear();
+    std::size_t n;
+    while ((n = std::fread(buf, 1, sizeof buf, p)) > 0)
+        err.append(buf, n);
+    int rc = ::pclose(p);
+    return WIFEXITED(rc) ? WEXITSTATUS(rc) : -1;
+}
+
+// The drivers write their artifacts before main returns, so a lost
+// file reaches the exit status instead of only a stderr line.
+TEST(ArtifactExit, RunAppHostProfOnFullDiskExitsNonZero)
+{
+    if (::access("/dev/full", W_OK) != 0)
+        GTEST_SKIP() << "no /dev/full on this system";
+    std::string err;
+    EXPECT_EQ(runCapturingStderr(std::string(WWT_RUN_APP_BIN) +
+                                     " --app em3d --machine mp --procs 2"
+                                     " --size 8 --iters 1"
+                                     " --host-prof /dev/full",
+                                 err),
+              1);
+    EXPECT_NE(err.find("cannot write manifest to /dev/full"),
+              std::string::npos)
+        << err;
+}
+
+TEST(ArtifactExit, BenchMetricsOnFullDiskExitsNonZero)
+{
+    if (::access("/dev/full", W_OK) != 0)
+        GTEST_SKIP() << "no /dev/full on this system";
+    std::string err;
+    EXPECT_EQ(runCapturingStderr(std::string(WWT_MSE_BENCH_BIN) +
+                                     " --small --metrics /dev/full",
+                                 err),
+              1);
+    EXPECT_NE(err.find("cannot write /dev/full"), std::string::npos)
+        << err;
 }
 
 TEST(HostProfEngine, EngineRunsHitTheNamedPhases)

@@ -1,15 +1,16 @@
 /**
  * @file
- * Tests for the campaign service (src/svc/): the scenario lease
- * protocol, the content-addressed cache index, the multi-file store
- * fold, and — through the real wwtcmp_campaign binary — warm-cache
+ * Tests for the campaign service (src/svc/): the content-addressed
+ * cache index, the refusal of stores left by the removed sharded
+ * workers, and — through the real wwtcmp_campaign binary — warm-cache
  * runs, the resume-prefers-pass regression, children killed
- * mid-publish, stale partial records, two cooperating workers on one
- * store, and the rendered dashboard.
+ * mid-publish, stale partial records, the rendered dashboard and its
+ * checked writes.
  */
 
 #include <gtest/gtest.h>
 
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cstdio>
@@ -20,7 +21,6 @@
 
 #include "exp/store.hh"
 #include "svc/cache_index.hh"
-#include "svc/lease.hh"
 
 using namespace wwt;
 
@@ -70,12 +70,14 @@ runBinary(const std::string& args)
     return WIFEXITED(rc) ? WEXITSTATUS(rc) : -1;
 }
 
-/** Run the binary capturing combined stdout+stderr into @p out. */
+/** Run the binary capturing combined stdout+stderr into @p out;
+ *  @p redirect " 2>&1 >/dev/null" captures stderr alone. */
 int
-runBinaryCapture(const std::string& args, std::string& out)
+runBinaryCapture(const std::string& args, std::string& out,
+                 const char* redirect = " 2>&1")
 {
     std::string cmd =
-        std::string(WWTCMP_CAMPAIGN_BIN) + " " + args + " 2>&1";
+        std::string(WWTCMP_CAMPAIGN_BIN) + " " + args + redirect;
     FILE* p = ::popen(cmd.c_str(), "r");
     if (!p)
         return -1;
@@ -94,6 +96,13 @@ dirIsEmpty(const std::string& dir)
 {
     return std::system(("test -z \"$(ls -A '" + dir + "')\"").c_str()) ==
            0;
+}
+
+/** True when /dev/full exists, so a write to it fails with ENOSPC. */
+bool
+haveDevFull()
+{
+    return ::access("/dev/full", W_OK) == 0;
 }
 
 /** A pass record with enough fields for cache adoption to matter. */
@@ -115,117 +124,8 @@ passRecord(const std::string& id, const std::string& hash)
 } // namespace
 
 // ------------------------------------------------------------------
-// Leases.
+// The store fold: one results file, last record per id wins.
 // ------------------------------------------------------------------
-
-TEST(LeaseDir, FreshLeaseExcludesOtherWorkers)
-{
-    TempDir t;
-    svc::LeaseDir a(t.path, "alpha", 30);
-    svc::LeaseDir b(t.path, "beta", 30);
-
-    EXPECT_TRUE(a.acquire("s1"));
-    EXPECT_TRUE(a.acquire("s1")); // re-assert our own claim
-    EXPECT_FALSE(b.acquire("s1")); // live foreign lease
-    auto info = b.read("s1");
-    EXPECT_TRUE(info.exists);
-    EXPECT_EQ(info.owner, "alpha");
-    EXPECT_FALSE(b.stale(info));
-
-    a.release("s1");
-    EXPECT_FALSE(a.read("s1").exists);
-    EXPECT_TRUE(b.acquire("s1")); // free again
-}
-
-TEST(LeaseDir, StaleLeaseIsStolen)
-{
-    TempDir t;
-    svc::LeaseDir b(t.path, "beta", 5);
-    // A ghost worker's lease with a heartbeat far in the past.
-    writeFile(t.path + "/s1.lease", "ghost 1000.0\n");
-    auto info = b.read("s1");
-    EXPECT_TRUE(info.exists);
-    EXPECT_EQ(info.owner, "ghost");
-    EXPECT_TRUE(b.stale(info));
-    EXPECT_TRUE(b.acquire("s1")); // steal
-    info = b.read("s1");
-    EXPECT_EQ(info.owner, "beta");
-
-    // A *fresh* ghost lease is respected: its worker may be alive.
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "ghost %.3f\n",
-                  svc::LeaseDir::now());
-    writeFile(t.path + "/s2.lease", buf);
-    EXPECT_FALSE(b.acquire("s2"));
-}
-
-TEST(LeaseDir, HeartbeatRefreshesHeldLeases)
-{
-    TempDir t;
-    svc::LeaseDir a(t.path, "alpha", 30);
-    ASSERT_TRUE(a.acquire("s1"));
-    double before = a.read("s1").heartbeat;
-    a.heartbeat();
-    EXPECT_GE(a.read("s1").heartbeat, before);
-    EXPECT_EQ(a.held().count("s1"), 1u);
-    a.release("s1");
-    EXPECT_EQ(a.held().count("s1"), 0u);
-}
-
-// ------------------------------------------------------------------
-// Multi-file store fold.
-// ------------------------------------------------------------------
-
-TEST(StoreFold, PassingShardRecordBeatsClassicTimeout)
-{
-    TempDir t;
-    exp::Store classic(t.path);
-    classic.create();
-    exp::RunRecord bad = passRecord("a", "h1");
-    bad.status = exp::RunStatus::Timeout;
-    classic.append(bad);
-
-    exp::Store shard(t.path);
-    shard.setWorker("w1");
-    shard.append(passRecord("a", "h1"));
-
-    auto files = exp::Store(t.path).resultsFiles();
-    ASSERT_EQ(files.size(), 2u);
-    EXPECT_NE(files[0].find("results.jsonl"), std::string::npos);
-    EXPECT_NE(files[1].find("results.w1.jsonl"), std::string::npos);
-
-    auto latest = exp::Store(t.path).loadLatest();
-    ASSERT_EQ(latest.size(), 1u);
-    EXPECT_EQ(latest.at("a").status, exp::RunStatus::Pass);
-}
-
-TEST(StoreFold, TieKeepsEarliestFileInFoldOrder)
-{
-    TempDir t;
-    exp::Store s1(t.path), s2(t.path);
-    s1.setWorker("w1");
-    s2.setWorker("w2");
-    s1.create();
-    exp::RunRecord r1 = passRecord("a", "h1");
-    r1.totalCyclesPerProc = 111;
-    s1.append(r1);
-    exp::RunRecord r2 = passRecord("a", "h1");
-    r2.totalCyclesPerProc = 222; // benign duplicate execution
-    s2.append(r2);
-
-    auto latest = exp::Store(t.path).loadLatest();
-    EXPECT_EQ(latest.at("a").totalCyclesPerProc, 111);
-}
-
-TEST(StoreFold, WorkerNamesAreValidated)
-{
-    exp::Store s("/tmp/x");
-    EXPECT_THROW(s.setWorker(""), std::runtime_error);
-    EXPECT_THROW(s.setWorker("a/b"), std::runtime_error);
-    EXPECT_THROW(s.setWorker("a b"), std::runtime_error);
-    s.setWorker("host-1_ok");
-    EXPECT_EQ(s.resultsPath(), "/tmp/x/results.host-1_ok.jsonl");
-}
 
 TEST(StoreFold, CachedProvenanceRoundTripsThroughJson)
 {
@@ -242,6 +142,57 @@ TEST(StoreFold, CachedProvenanceRoundTripsThroughJson)
     EXPECT_EQ(back.cacheSource, "other/results.jsonl");
     EXPECT_EQ(back.cacheLine, 7u);
     EXPECT_DOUBLE_EQ(back.cacheWallSec, 1.5);
+}
+
+// A store written by the removed sharded workers: results.jsonl plus a
+// worker's results.<w>.jsonl shard. Reading results.jsonl alone could
+// report an outcome the shard superseded, so every reader refuses it
+// and names the shard.
+TEST(StoreFold, WorkerShardIsRefusedByName)
+{
+    TempDir t;
+    exp::Store store(t.path);
+    store.create();
+    store.append(passRecord("a", "h1"));
+    const std::string shard =
+        writeFile(t.path + "/results.alpha.jsonl",
+                  passRecord("b", "h2").toJsonLine() + "\n");
+
+    auto expectRefused = [&](const char* reader, auto&& read) {
+        try {
+            read();
+            ADD_FAILURE() << reader << " read a store with a shard";
+        } catch (const std::runtime_error& e) {
+            std::string what = e.what();
+            EXPECT_NE(what.find(shard), std::string::npos)
+                << reader << ": " << what;
+            EXPECT_NE(what.find("sharded workers"), std::string::npos)
+                << reader << ": " << what;
+        }
+    };
+    expectRefused("loadLatest", [&] { store.loadLatest(); });
+    expectRefused("CacheIndex::addStore", [&] {
+        svc::CacheIndex idx;
+        idx.addStore(t.path);
+    });
+}
+
+// Every store written before the workers were removed has an empty
+// leases/ directory; it means nothing and must not stop a read.
+TEST(StoreFold, LeftoverLeasesDirectoryIsIgnored)
+{
+    TempDir t;
+    exp::Store store(t.path);
+    store.create();
+    store.append(passRecord("a", "h1"));
+    ASSERT_EQ(::mkdir((t.path + "/leases").c_str(), 0777), 0);
+
+    auto latest = store.loadLatest();
+    ASSERT_EQ(latest.size(), 1u);
+    EXPECT_EQ(latest.at("a").status, exp::RunStatus::Pass);
+    svc::CacheIndex idx;
+    idx.addStore(t.path);
+    EXPECT_EQ(idx.size(), 1u);
 }
 
 // ------------------------------------------------------------------
@@ -540,68 +491,6 @@ TEST(SvcE2E, StalePartialIsDiscardedNeverAdopted)
     EXPECT_TRUE(dirIsEmpty(store.dir() + "/tmp"));
 }
 
-TEST(SvcE2E, TwoCooperatingWorkersShareOneStore)
-{
-    TempDir t;
-    std::string camp = writeFile(t.path + "/c.json", e2eCampaign());
-    std::string dir = t.path + "/shared";
-
-    // Two runner processes, one store, disjoint shards. Launch both
-    // and wait; either may finish first.
-    std::string base = std::string(WWTCMP_CAMPAIGN_BIN) + " run " +
-                       camp + " --dir " + dir +
-                       " --jobs 2 --workers alpha,beta";
-    std::string cmd = "( " + base + " --worker alpha > " + t.path +
-                      "/a.log 2>&1 & " + base + " --worker beta > " +
-                      t.path + "/b.log 2>&1 ; wait )";
-    int rc = std::system(cmd.c_str());
-    EXPECT_EQ(WIFEXITED(rc) ? WEXITSTATUS(rc) : -1, 0);
-
-    exp::Store store(dir);
-    auto latest = store.loadLatest();
-    ASSERT_EQ(latest.size(), 3u);
-    for (const auto& [id, rec] : latest)
-        EXPECT_EQ(rec.status, exp::RunStatus::Pass) << id;
-
-    // Each worker appended only to its own shard file, and every
-    // scenario ran exactly once across the two.
-    std::string logs =
-        readFile(t.path + "/a.log") + readFile(t.path + "/b.log");
-    std::size_t execs = 0;
-    for (std::size_t pos = 0;
-         (pos = logs.find("] pass", pos)) != std::string::npos; ++pos)
-        ++execs;
-    EXPECT_EQ(execs, 3u) << logs;
-    // No leases and no handoff files left behind.
-    EXPECT_NE(std::system(
-                  ("ls " + dir + "/leases/*.lease > /dev/null 2>&1")
-                      .c_str()),
-              0);
-    EXPECT_TRUE(dirIsEmpty(dir + "/tmp"));
-}
-
-TEST(SvcE2E, DeadWorkersShardIsRecoveredByTheSurvivor)
-{
-    TempDir t;
-    std::string camp = writeFile(t.path + "/c.json", e2eCampaign());
-    std::string dir = t.path + "/shared";
-
-    // Worker "ghost" never starts. With a short lease timeout the
-    // survivor waits out the grace period, then claims the ghost's
-    // shard and finishes the campaign alone.
-    std::string out;
-    EXPECT_EQ(runBinaryCapture("run " + camp + " --dir " + dir +
-                                   " --jobs 2 --workers ghost,solo "
-                                   "--worker solo --lease-timeout 1",
-                               out),
-              0);
-    EXPECT_NE(out.find("3 executed"), std::string::npos) << out;
-    auto latest = exp::Store(dir).loadLatest();
-    ASSERT_EQ(latest.size(), 3u);
-    for (const auto& [id, rec] : latest)
-        EXPECT_EQ(rec.status, exp::RunStatus::Pass) << id;
-}
-
 TEST(SvcE2E, ServeRendersDashboardTree)
 {
     TempDir t;
@@ -630,4 +519,97 @@ TEST(SvcE2E, ServeRendersDashboardTree)
                             "/dash " + flag),
                   2)
             << flag;
+}
+
+TEST(SvcE2E, EveryReaderRefusesAStoreWithAWorkerShard)
+{
+    TempDir t;
+    std::string camp = writeFile(t.path + "/c.json", e2eCampaign());
+    std::string cold = t.path + "/cold";
+    ASSERT_EQ(runBinary("run " + camp + " --dir " + cold + " --jobs 3"),
+              0);
+    // The shard a second worker would have written: valid records.
+    std::string shard = writeFile(cold + "/results.alpha.jsonl",
+                                  readFile(cold + "/results.jsonl"));
+
+    const std::pair<const char*, std::string> readers[] = {
+        {"report", "report " + cold},
+        {"diff", "diff " + cold + " " + cold},
+        {"analyze", "analyze " + cold},
+        {"serve", "serve " + cold + " --out " + t.path + "/dash"},
+        {"resume", "resume " + camp + " --dir " + cold + " --jobs 3"},
+        {"--cache", "run " + camp + " --dir " + t.path +
+                        "/fresh --cache " + cold + " --jobs 3"},
+    };
+    for (const auto& [verb, args] : readers) {
+        std::string err;
+        EXPECT_NE(runBinaryCapture(args, err, " 2>&1 >/dev/null"), 0)
+            << verb;
+        EXPECT_NE(err.find(shard), std::string::npos) << verb << ": "
+                                                      << err;
+        EXPECT_NE(err.find("sharded workers"), std::string::npos)
+            << verb << ": " << err;
+    }
+}
+
+TEST(SvcE2E, WorkerFlagsAreUnknownFlags)
+{
+    TempDir t;
+    std::string camp = writeFile(t.path + "/c.json", e2eCampaign());
+    for (const char* flag :
+         {"--workers a,b", "--worker a", "--lease-timeout 5"}) {
+        std::string err;
+        EXPECT_EQ(runBinaryCapture("run " + camp + " --dir " + t.path +
+                                       "/r " + flag,
+                                   err),
+                  2)
+            << flag;
+        EXPECT_NE(err.find("unknown flag"), std::string::npos)
+            << flag << ": " << err;
+    }
+}
+
+// A full disk shows only at the close; an unchecked writer reports
+// success for a file that was never written.
+TEST(SvcE2E, AnalyzeJsonOnFullDiskFails)
+{
+    if (!haveDevFull())
+        GTEST_SKIP() << "no /dev/full on this system";
+    TempDir t;
+    std::string camp = writeFile(t.path + "/c.json", e2eCampaign());
+    ASSERT_EQ(runBinary("run " + camp + " --dir " + t.path +
+                        "/r --jobs 3"),
+              0);
+    std::string err;
+    EXPECT_NE(runBinaryCapture("analyze " + t.path +
+                                   "/r --json /dev/full",
+                               err, " 2>&1 >/dev/null"),
+              0);
+    EXPECT_NE(err.find("cannot write /dev/full"), std::string::npos)
+        << err;
+    EXPECT_EQ(err.find("written to"), std::string::npos) << err;
+}
+
+TEST(SvcE2E, ServeOnFullDiskFails)
+{
+    if (!haveDevFull())
+        GTEST_SKIP() << "no /dev/full on this system";
+    TempDir t;
+    std::string camp = writeFile(t.path + "/c.json", e2eCampaign());
+    ASSERT_EQ(runBinary("run " + camp + " --dir " + t.path +
+                        "/r --jobs 3"),
+              0);
+    std::string dash = t.path + "/dash";
+    ASSERT_EQ(::mkdir(dash.c_str(), 0777), 0);
+    ASSERT_EQ(::symlink("/dev/full", (dash + "/index.html").c_str()), 0);
+    std::string out;
+    EXPECT_NE(runBinaryCapture("serve " + t.path + "/r --out " + dash,
+                               out),
+              0);
+    EXPECT_NE(out.find("cannot write " + dash + "/index.html"),
+              std::string::npos)
+        << out;
+    EXPECT_EQ(out.find("serve: wrote " + dash + "/index.html"),
+              std::string::npos)
+        << out;
 }

@@ -4,10 +4,9 @@
 `wwtcmp_campaign serve <store>... --out <tree>` renders each store
 into <tree>/<name>/{index.html, report.json, analysis.json,
 analysis.txt} plus a root index. This checker re-derives the ground
-truth from the store's results files (the same fold the C++ readers
-use: within a file the last record per scenario wins; across files a
-pass beats a non-pass and ties keep the earliest file in fold order)
-and asserts the rendered tree agrees:
+truth from the store's results.jsonl (the same fold the C++ readers
+use: the last record per scenario id wins) and asserts the rendered
+tree agrees:
 
   - report.json carries the campaign-report/1 schema, and its summary
     block (scenarios / executed / cached) matches the folded store;
@@ -32,41 +31,21 @@ def fail(msg: str) -> None:
     sys.exit(1)
 
 
-def results_files(store: str) -> list[str]:
-    """Every results file of the store, in fold order."""
-    classic = os.path.join(store, "results.jsonl")
-    files = [classic] if os.path.exists(classic) else []
-    shards = []
-    for name in os.listdir(store):
-        if (name.startswith("results.") and name.endswith(".jsonl")
-                and name != "results.jsonl"):
-            shards.append(os.path.join(store, name))
-    return files + sorted(shards)
-
-
 def fold_store(store: str) -> dict[str, dict]:
-    """Latest record per scenario id, with the cross-file fold rule."""
+    """Latest record per scenario id in the store's results.jsonl."""
     latest: dict[str, dict] = {}
-    for path in results_files(store):
-        per_file: dict[str, dict] = {}
-        with open(path, encoding="utf-8") as f:
-            for line in f:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    rec = json.loads(line)
-                except json.JSONDecodeError:
-                    # Trailing interrupted append; the C++ readers
-                    # tolerate it too.
-                    continue
-                per_file[rec["scenario"]] = rec
-        for sid, rec in per_file.items():
-            if sid not in latest:
-                latest[sid] = rec
-            elif (latest[sid]["status"] != "pass"
-                  and rec["status"] == "pass"):
-                latest[sid] = rec
+    with open(os.path.join(store, "results.jsonl"), encoding="utf-8") as f:
+        for line in f:
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError:
+                # Trailing interrupted append; the C++ readers
+                # tolerate it too.
+                continue
+            latest[rec["scenario"]] = rec
     return latest
 
 
